@@ -42,7 +42,8 @@ int main() {
 
     Table table({"method", "action at S1", "policy"});
     const Policy learned =
-        value_iteration_discounted(rewarded, discount, Objective::kMaximize)
+        value_iteration_discounted(compile(rewarded), discount,
+                                   Objective::kMaximize)
             .policy;
     table.add_row({"learned reward (IRL)",
                    std::to_string(car.choices(1)[learned.at(1)].action),
@@ -52,7 +53,8 @@ int main() {
       const Mdp shaped = apply_potential_shaping(
           rewarded, repulsive_potential(rewarded, "unsafe", scale), discount);
       const Policy policy =
-          value_iteration_discounted(shaped, discount, Objective::kMaximize)
+          value_iteration_discounted(compile(shaped), discount,
+                                     Objective::kMaximize)
               .policy;
       table.add_row(
           {"+ shaping (scale " + format_double(scale, 3) + ")",

@@ -61,7 +61,8 @@ int main() {
   // Direct bounded repair on the induced routing chain.
   const StateSet delivered = base.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(base, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(base), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = base.induced_dtmc(routing);
   const StateFormulaPtr bounded_property =
       parse_pctl("P>=0.5 [ F<=60 \"delivered\" ]");

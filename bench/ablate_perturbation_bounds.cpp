@@ -35,7 +35,8 @@ int main() {
   const Mdp mdp = build_wsn_mdp(config);
   const StateSet delivered = mdp.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(mdp, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = mdp.induced_dtmc(routing);
 
   std::cout << "=== Ablation: perturbation cap vs repairable bound X* ===\n";

@@ -77,8 +77,8 @@ int main() {
 
   // The routing controller's optimal policy and its induced chain.
   const StateSet delivered = network.states_with_label("delivered");
-  const SolveResult routing =
-      total_reward_to_target(network, delivered, Objective::kMinimize);
+  const SolveResult routing = total_reward_to_target(
+      compile(network), delivered, Objective::kMinimize);
   std::cout << "optimal routing needs " << routing.values[network.initial_state()]
             << " expected attempts\n";
 

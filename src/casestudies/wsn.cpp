@@ -123,7 +123,8 @@ TrajectoryDataset generate_wsn_traces(const Mdp& mdp, std::size_t num_queries,
                                       std::size_t max_steps) {
   const StateSet delivered = mdp.states_with_label("delivered");
   const Policy policy =
-      total_reward_to_target(mdp, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp), delivered, Objective::kMinimize)
+          .policy;
   Rng rng(seed);
   SimulationOptions options;
   options.max_steps = max_steps;

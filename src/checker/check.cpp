@@ -37,10 +37,11 @@ Objective flip(Objective objective) {
 }
 
 // ---------------------------------------------------------------------------
-// Checker over the compiled CSR form. One class serves both model kinds: the
-// quantitative primitives dispatch on CompiledModel::deterministic() — DTMCs
-// get the exact linear-system engines, MDPs the qualitative-precomputation +
-// value-iteration engines.
+// Checker over the compiled CSR form. One class serves both model kinds. The
+// unbounded primitives dispatch on CompiledModel::deterministic(): DTMCs get
+// the exact linear-system engines, MDPs qualitative precomputation plus
+// sound interval iteration (P) or value iteration (R). The step-bounded and
+// cumulative sweeps are shared: a DTMC row is a single choice.
 
 class Checker {
  public:
@@ -107,8 +108,7 @@ class Checker {
 
  private:
   /// SolverOptions carrying this check's budget and thread count; the
-  /// method/tolerance knobs keep their process defaults (tml_check --method
-  /// still applies to server-side checks).
+  /// tolerance and iteration knobs keep their defaults.
   SolverOptions solver_options() const {
     SolverOptions solver;
     solver.budget = options_.budget;
@@ -119,18 +119,11 @@ class Checker {
   std::vector<double> until(const StateSet& stay, const StateSet& goal,
                             Objective objective) {
     if (model_.deterministic()) return dtmc_until(model_, stay, goal);
-    // solver_options() preserves default_solve_method(): unbounded MDP
-    // until runs the sound interval-topological engine unless a tool has
-    // switched the process default (tml_check --method).
     return mdp_until(model_, stay, goal, objective, solver_options());
   }
 
   std::vector<double> bounded_until(const StateSet& stay, const StateSet& goal,
                                     std::size_t bound, Objective objective) {
-    if (model_.deterministic()) {
-      return dtmc_bounded_until(model_, stay, goal, bound, options_.threads,
-                                &options_.budget);
-    }
     return mdp_bounded_until(model_, stay, goal, bound, objective,
                              options_.threads, &options_.budget);
   }
@@ -172,10 +165,6 @@ class Checker {
 
   std::vector<double> cumulative_reward(std::size_t horizon,
                                         Objective objective) {
-    if (model_.deterministic()) {
-      return dtmc_cumulative_reward(model_, horizon, options_.threads,
-                                    &options_.budget);
-    }
     return mdp_cumulative_reward(model_, horizon, objective, options_.threads,
                                  &options_.budget);
   }

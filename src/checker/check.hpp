@@ -1,11 +1,14 @@
 // PCTL model checking for DTMCs and MDPs.
 //
 // DTMC engine: exact linear-system solves (Gaussian elimination) after
-// prob0/prob1 graph precomputation; bounded operators by matrix-vector
-// iteration.
+// prob0/prob1 graph precomputation for unbounded P and R operators.
 //
 // MDP engine: PRISM-style — qualitative precomputation (Prob0A/Prob1E for
-// max, Prob0E/Prob1A for min) followed by value iteration. A bounded
+// max, Prob0E/Prob1A for min) followed by sound interval iteration for
+// unbounded P and value iteration for R.
+//
+// Step-bounded and cumulative operators run one Jacobi sweep per step on
+// both model kinds (a DTMC row is a single choice). A bounded
 // operator `P⋈b[ψ]` on an MDP quantifies over all schedulers: upper bounds
 // (<, <=) are checked against the maximizing scheduler, lower bounds
 // (>, >=) against the minimizing one. Explicit `Pmax`/`Pmin`/`Rmax`/`Rmin`

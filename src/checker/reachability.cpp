@@ -25,15 +25,15 @@ Budget budget_or_default(const Budget* budget) {
   return budget != nullptr ? *budget : default_budget();
 }
 
-/// Checks a sweep delta (or interval gap) for injected or genuine NaN.
-double checked_sweep_delta(double delta, const char* engine) {
-  delta = fault::poison("checker.sweep", delta);
-  if (std::isnan(delta)) {
-    throw NumericError(std::string(engine) +
-                       ": NaN convergence delta — model or update sequence "
-                       "produced non-finite values");
+/// Checks an interval gap for injected or genuine NaN.
+double checked_gap(double gap) {
+  gap = fault::poison("checker.sweep", gap);
+  if (std::isnan(gap)) {
+    throw NumericError(
+        "mdp_reachability(interval): NaN convergence gap — model or update "
+        "sequence produced non-finite values");
   }
-  return delta;
+  return gap;
 }
 
 /// Restricts an until problem to a plain reachability problem: states in
@@ -74,18 +74,7 @@ Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
   return sets;
 }
 
-void record_vi_stats(std::size_t iterations, double last_delta) {
-  static stats::Counter& c_iters = stats::counter("checker.vi.iterations");
-  static stats::Gauge& g_delta = stats::gauge("checker.vi.last_delta");
-  c_iters.add(iterations);
-  g_delta.set(last_delta);
-}
-
 // ---- warm starts ----------------------------------------------------------
-
-bool warm_values_valid(const WarmStart* warm, std::size_t n) {
-  return warm != nullptr && warm->values.size() == n;
-}
 
 bool warm_bracket_valid(const WarmStart* warm, std::size_t n) {
   return warm != nullptr && warm->lo.size() == n && warm->hi.size() == n;
@@ -193,214 +182,8 @@ double solve_single_state(const CompiledModel& model, StateId s,
   return best;
 }
 
-/// Classic flat Jacobi value iteration with the `delta < eps` stopping rule
-/// (SolveMethod::kValueIteration). Kept as the baseline engine; the stopping
-/// rule is unsound on slowly-mixing models (see SolveMethod docs).
-std::vector<double> reach_classic(const CompiledModel& model,
-                                  const Prob01& sets, Objective objective,
-                                  const SolverOptions& options) {
-  const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  const StateSet& zero = sets.zero;
-  const StateSet& one = sets.one;
-
-  std::vector<double> values(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (one[s]) values[s] = 1.0;
-  }
-  // Warm point seed: start the iterate at the previous fixpoint (clamped to
-  // [0,1], pins kept exact). Inherits this engine's unsound `delta < eps`
-  // stopping rule — a warm classic solve is a faster heuristic, not a
-  // certificate; use the interval engine for certified warm brackets.
-  if (warm_values_valid(options.warm, n)) {
-    for (StateId s = 0; s < n; ++s) {
-      if (zero[s] || one[s]) continue;
-      values[s] = std::clamp(options.warm->values[s], 0.0, 1.0);
-    }
-  }
-
-  std::vector<double> next = values;
-  bool converged = false;
-  std::size_t iterations = 0;
-  double last_delta = 0.0;
-  BudgetTracker tracker(options.budget);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    if (!tracker.tick()) tracker.require_ok("mdp_reachability");
-    const double delta = parallel_transform_reduce(
-        std::size_t{0}, n, kDefaultGrain, 0.0,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          double local = 0.0;
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            if (zero[s] || one[s]) continue;
-            double best = objective == Objective::kMaximize ? 0.0 : 1.0;
-            for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-              double q = 0.0;
-              for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-                   ++k) {
-                q += prob[k] * values[target[k]];
-              }
-              if (objective == Objective::kMaximize) {
-                best = std::max(best, q);
-              } else {
-                best = std::min(best, q);
-              }
-            }
-            next[s] = best;
-            local = std::max(local, std::abs(next[s] - values[s]));
-          }
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); }, options.threads);
-    values.swap(next);
-    iterations = iter + 1;
-    last_delta = checked_sweep_delta(delta, "mdp_reachability");
-    if (last_delta < options.tolerance && !fault::fire("checker.converge")) {
-      converged = true;
-      break;
-    }
-  }
-  record_vi_stats(iterations, last_delta);
-  if (!converged && options.throw_on_nonconvergence) {
-    throw NumericError("mdp_reachability: no convergence after " +
-                       std::to_string(iterations) + " iterations");
-  }
-  return values;
-}
-
-/// Classic value iteration swept per SCC block in dependency order
-/// (SolveMethod::kTopological). Each block iterates against already-final
-/// downstream values; single-state blocks solve in closed form, so acyclic
-/// models finish without any iteration at all.
-std::vector<double> reach_topological(const CompiledModel& model,
-                                      const Prob01& sets, Objective objective,
-                                      const SolverOptions& options) {
-  const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  const StateSet& zero = sets.zero;
-  const StateSet& one = sets.one;
-  const SccDecomposition& scc = model.scc();
-  record_scc_count(scc.num_blocks());
-
-  std::vector<double> values(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (one[s]) values[s] = 1.0;
-  }
-
-  // Warm start: blocks with no dirty state and no affected block downstream
-  // keep the previous values verbatim and are skipped — exact, because both
-  // their operator and everything they read are unchanged. Affected blocks
-  // re-run from the cold initialization, so a warm topological solve
-  // reproduces the cold solve bitwise.
-  const bool warm = warm_values_valid(options.warm, n);
-  std::vector<char> affected;
-  std::size_t skipped = 0;
-  std::size_t resolved = 0;
-  if (warm) {
-    StateSet dirty = options.warm->dirty.size() == n ? options.warm->dirty
-                                                     : StateSet(n, true);
-    affected = affected_blocks(model, scc, dirty);
-    for (StateId s = 0; s < n; ++s) {
-      if (zero[s] || one[s]) continue;
-      if (!affected[scc.component[s]]) {
-        values[s] = std::clamp(options.warm->values[s], 0.0, 1.0);
-      }
-    }
-  }
-  std::vector<double> next = values;
-
-  std::size_t total_sweeps = 0;
-  double last_delta = 0.0;
-  BudgetTracker tracker(options.budget);
-  // Blocks are emitted in dependency order: every inter-block edge points to
-  // a lower block id, so by the time block b runs, everything it reads
-  // outside itself is final.
-  for (std::uint32_t b = 0; b < scc.num_blocks(); ++b) {
-    const auto block = scc.block(b);
-    bool any_unknown = false;
-    for (StateId s : block) {
-      if (!zero[s] && !one[s]) {
-        any_unknown = true;
-        break;
-      }
-    }
-    if (!any_unknown) continue;
-    if (warm && !affected[b]) {
-      ++skipped;
-      continue;
-    }
-    if (warm) ++resolved;
-
-    if (block.size() == 1) {
-      const StateId s = block.front();
-      values[s] = solve_single_state(model, s, objective, values);
-      next[s] = values[s];
-      continue;
-    }
-
-    const std::size_t begin = scc.block_start[b];
-    const std::size_t end = scc.block_start[b + 1];
-    bool converged = false;
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-      if (!tracker.tick()) tracker.require_ok("mdp_reachability(topological)");
-      const double delta = parallel_transform_reduce(
-          begin, end, kDefaultGrain, 0.0,
-          [&](std::size_t chunk_begin, std::size_t chunk_end) {
-            double local = 0.0;
-            for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-              const StateId s = scc.block_states[i];
-              if (zero[s] || one[s]) continue;
-              double best = objective == Objective::kMaximize ? 0.0 : 1.0;
-              for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-                double q = 0.0;
-                for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-                     ++k) {
-                  q += prob[k] * values[target[k]];
-                }
-                if (objective == Objective::kMaximize) {
-                  best = std::max(best, q);
-                } else {
-                  best = std::min(best, q);
-                }
-              }
-              next[s] = best;
-              local = std::max(local, std::abs(next[s] - values[s]));
-            }
-            return local;
-          },
-          [](double a, double b) { return std::max(a, b); }, options.threads);
-      values.swap(next);
-      ++total_sweeps;
-      last_delta = checked_sweep_delta(delta, "mdp_reachability(topological)");
-      if (last_delta < options.tolerance && !fault::fire("checker.converge")) {
-        converged = true;
-        break;
-      }
-    }
-    // After the final swap, `next` is stale on this block's states only;
-    // resync so later blocks can swap freely.
-    for (std::size_t i = begin; i < end; ++i) {
-      next[scc.block_states[i]] = values[scc.block_states[i]];
-    }
-    if (!converged && options.throw_on_nonconvergence) {
-      throw NumericError("mdp_reachability(topological): block " +
-                         std::to_string(b) + " did not converge within " +
-                         std::to_string(options.max_iterations) + " sweeps");
-    }
-  }
-  if (warm) record_warm_stats(skipped, resolved);
-  record_vi_stats(total_sweeps, last_delta);
-  return values;
-}
-
-/// Sound interval iteration over the SCC condensation
-/// (SolveMethod::kIntervalTopological). See the SolveMethod docs for the
-/// invariants; the certified bracket is returned in SolveResult::lo/hi.
+/// Sound interval iteration over the SCC condensation (see the header for
+/// the invariants); the certified bracket is returned in SolveResult::lo/hi.
 SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
                            Objective objective, const SolverOptions& options) {
   const std::size_t n = model.num_states();
@@ -692,8 +475,7 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
             return local;
           },
           [](double a, double b) { return std::max(a, b); }, options.threads);
-      if (checked_sweep_delta(gap, "mdp_reachability(interval)") <
-              options.tolerance &&
+      if (checked_gap(gap) < options.tolerance &&
           !fault::fire("checker.converge")) {
         converged = true;
         break;
@@ -750,18 +532,8 @@ std::vector<double> mdp_reachability(const CompiledModel& model,
                                      const StateSet& targets,
                                      Objective objective,
                                      const SolverOptions& options) {
-  TML_REQUIRE(targets.size() == model.num_states(),
-              "mdp_reachability: target set size mismatch");
-  const Prob01 sets = prob01_for(model, targets, objective, options);
-  switch (options.method) {
-    case SolveMethod::kValueIteration:
-      return reach_classic(model, sets, objective, options);
-    case SolveMethod::kTopological:
-      return reach_topological(model, sets, objective, options);
-    case SolveMethod::kIntervalTopological:
-      break;
-  }
-  SolveResult result = reach_interval(model, sets, objective, options);
+  SolveResult result =
+      mdp_reachability_bracket(model, targets, objective, options);
   if (result.budget_status == BudgetStatus::kBudgetExhausted) {
     // This entry point returns a bare vector, so it has no channel for the
     // exhaustion flag; surface the typed error instead of a silent partial.
@@ -789,29 +561,11 @@ SolveResult mdp_reachability_bracket(const CompiledModel& model,
   return result;
 }
 
-SolveResult mdp_reachability_bracket(const Mdp& mdp, const StateSet& targets,
-                                     Objective objective,
-                                     const SolverOptions& options) {
-  return mdp_reachability_bracket(compile(mdp), targets, objective, options);
-}
-
 SolveResult mdp_until_bracket(const CompiledModel& model, const StateSet& stay,
                               const StateSet& goal, Objective objective,
                               const SolverOptions& options) {
   return mdp_reachability_bracket(absorb_escape_states(model, stay, goal),
                                   goal, objective, options);
-}
-
-SolveResult mdp_until_bracket(const Mdp& mdp, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options) {
-  return mdp_until_bracket(compile(mdp), stay, goal, objective, options);
-}
-
-std::vector<double> mdp_reachability(const Mdp& mdp, const StateSet& targets,
-                                     Objective objective,
-                                     const SolverOptions& options) {
-  return mdp_reachability(compile(mdp), targets, objective, options);
 }
 
 std::vector<double> mdp_bounded_until(const CompiledModel& model,
@@ -870,78 +624,9 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
   return values;
 }
 
-std::vector<double> mdp_bounded_until(const Mdp& mdp, const StateSet& stay,
-                                      const StateSet& goal, std::size_t bound,
-                                      Objective objective,
-                                      std::size_t threads,
-                                      const Budget* budget) {
-  return mdp_bounded_until(compile(mdp), stay, goal, bound, objective, threads,
-                           budget);
-}
-
-std::vector<double> dtmc_bounded_until(const CompiledModel& model,
-                                       const StateSet& stay,
-                                       const StateSet& goal, std::size_t bound,
-                                       std::size_t threads,
-                                       const Budget* budget) {
-  TML_REQUIRE(model.deterministic(),
-              "dtmc_bounded_until: compiled model is not a DTMC");
-  const std::size_t n = model.num_states();
-  TML_REQUIRE(stay.size() == n && goal.size() == n,
-              "dtmc_bounded_until: set size mismatch");
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  std::vector<double> values(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (goal[s]) values[s] = 1.0;
-  }
-  std::vector<double> next = values;
-  BudgetTracker tracker(budget_or_default(budget));
-  for (std::size_t k = 0; k < bound; ++k) {
-    if (!tracker.tick()) tracker.require_ok("dtmc_bounded_until");
-    parallel_for(
-        0, n, kDefaultGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            if (goal[s]) {
-              next[s] = 1.0;
-              continue;
-            }
-            if (!stay[s]) {
-              next[s] = 0.0;
-              continue;
-            }
-            double q = 0.0;
-            for (std::uint32_t t = choice_start[s]; t < choice_start[s + 1];
-                 ++t) {
-              q += prob[t] * values[target[t]];
-            }
-            next[s] = q;
-          }
-        },
-        threads);
-    values.swap(next);
-  }
-  record_bounded_sweeps(bound);
-  return values;
-}
-
-std::vector<double> dtmc_bounded_until(const Dtmc& chain, const StateSet& stay,
-                                       const StateSet& goal, std::size_t bound,
-                                       std::size_t threads,
-                                       const Budget* budget) {
-  return dtmc_bounded_until(compile(chain), stay, goal, bound, threads, budget);
-}
-
 std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
                                const StateSet& goal) {
   return dtmc_reachability(absorb_escape_states(model, stay, goal), goal);
-}
-
-std::vector<double> dtmc_until(const Dtmc& chain, const StateSet& stay,
-                               const StateSet& goal) {
-  return dtmc_until(compile(chain), stay, goal);
 }
 
 std::vector<double> mdp_until(const CompiledModel& model, const StateSet& stay,
@@ -949,53 +634,6 @@ std::vector<double> mdp_until(const CompiledModel& model, const StateSet& stay,
                               const SolverOptions& options) {
   return mdp_reachability(absorb_escape_states(model, stay, goal), goal,
                           objective, options);
-}
-
-std::vector<double> mdp_until(const Mdp& mdp, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options) {
-  return mdp_until(compile(mdp), stay, goal, objective, options);
-}
-
-std::vector<double> dtmc_cumulative_reward(const CompiledModel& model,
-                                           std::size_t horizon,
-                                           std::size_t threads,
-                                           const Budget* budget) {
-  TML_REQUIRE(model.deterministic(),
-              "dtmc_cumulative_reward: compiled model is not a DTMC");
-  const std::size_t n = model.num_states();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  std::vector<double> values(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  BudgetTracker tracker(budget_or_default(budget));
-  for (std::size_t k = 0; k < horizon; ++k) {
-    if (!tracker.tick()) tracker.require_ok("dtmc_cumulative_reward");
-    parallel_for(
-        0, n, kDefaultGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            double q = model.state_reward(s);
-            for (std::uint32_t t = choice_start[s]; t < choice_start[s + 1];
-                 ++t) {
-              q += prob[t] * values[target[t]];
-            }
-            next[s] = q;
-          }
-        },
-        threads);
-    values.swap(next);
-  }
-  record_bounded_sweeps(horizon);
-  return values;
-}
-
-std::vector<double> dtmc_cumulative_reward(const Dtmc& chain,
-                                           std::size_t horizon,
-                                           std::size_t threads,
-                                           const Budget* budget) {
-  return dtmc_cumulative_reward(compile(chain), horizon, threads, budget);
 }
 
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
@@ -1039,14 +677,6 @@ std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
   }
   record_bounded_sweeps(horizon);
   return values;
-}
-
-std::vector<double> mdp_cumulative_reward(const Mdp& mdp, std::size_t horizon,
-                                          Objective objective,
-                                          std::size_t threads,
-                                          const Budget* budget) {
-  return mdp_cumulative_reward(compile(mdp), horizon, objective, threads,
-                               budget);
 }
 
 }  // namespace tml

@@ -1,24 +1,20 @@
 // Quantitative reachability for MDPs (Pmax / Pmin of F target).
 //
 // Graph precomputation pins the probability-0 and probability-1 regions
-// (src/mdp/graph.hpp) before any numerics run; SolverOptions::method then
-// selects the numeric engine for the remaining states:
+// (src/mdp/graph.hpp) before any numerics run. The remaining states are
+// solved by sound interval iteration: lower and upper value vectors
+// initialized from the prob0/prob1 sets converge toward each other one SCC
+// block at a time in dependency order (single-state blocks solve in closed
+// form), end components are deflated to their best exit so the upper
+// iterate cannot stall, and iteration stops only when `upper - lower < eps`
+// everywhere. `mdp_reachability_bracket` exposes the certified `[lo, hi]`
+// bracket directly; `mdp_reachability` returns its midpoint.
 //
-//  * kValueIteration — classic Jacobi value iteration with the (unsound)
-//    `delta < eps` stopping rule;
-//  * kTopological — the same updates swept one SCC block at a time in
-//    dependency order (single-state blocks solve in closed form);
-//  * kIntervalTopological (default) — sound interval iteration: lower and
-//    upper value vectors initialized from the prob0/prob1 sets converge
-//    toward each other per SCC block, end components are deflated to their
-//    best exit so the upper iterate cannot stall, and iteration stops only
-//    when `upper - lower < eps` everywhere. `mdp_reachability_bracket`
-//    exposes the certified `[lo, hi]` bracket directly.
-//
-// All engines run on the compiled CSR form; the Mdp/Dtmc overloads compile
-// once and delegate. Until operators restrict to plain reachability via
-// CompiledModel::make_absorbing (states outside stay ∪ goal can never
-// contribute).
+// Every entry point takes the compiled CSR form; callers compile once and
+// reuse it across queries. Until operators restrict to plain reachability
+// via CompiledModel::make_absorbing (states outside stay ∪ goal can never
+// contribute). The step-bounded and cumulative operators have one sweep
+// each, shared by DTMCs (one-choice rows) and MDPs.
 //
 // Budgets (src/common/budget.hpp). Every engine polls
 // SolverOptions::budget once per sweep. The bracket entry points degrade
@@ -33,7 +29,6 @@
 #pragma once
 
 #include "src/mdp/compiled.hpp"
-#include "src/mdp/model.hpp"
 #include "src/mdp/solver.hpp"
 
 namespace tml {
@@ -43,19 +38,12 @@ std::vector<double> mdp_reachability(const CompiledModel& model,
                                      const StateSet& targets,
                                      Objective objective,
                                      const SolverOptions& options = {});
-std::vector<double> mdp_reachability(const Mdp& mdp, const StateSet& targets,
-                                     Objective objective,
-                                     const SolverOptions& options = {});
 
-/// Certified-bracket reachability: always runs the sound interval engine
-/// (regardless of options.method) and returns the full SolveResult with
+/// Certified-bracket reachability: returns the full SolveResult with
 /// `lo[s] <= v*(s) <= hi[s]` per state and `values` the clamped midpoint.
 /// On convergence, `hi - lo < options.tolerance` holds everywhere.
 SolveResult mdp_reachability_bracket(const CompiledModel& model,
                                      const StateSet& targets,
-                                     Objective objective,
-                                     const SolverOptions& options = {});
-SolveResult mdp_reachability_bracket(const Mdp& mdp, const StateSet& targets,
                                      Objective objective,
                                      const SolverOptions& options = {});
 
@@ -63,13 +51,11 @@ SolveResult mdp_reachability_bracket(const Mdp& mdp, const StateSet& targets,
 SolveResult mdp_until_bracket(const CompiledModel& model, const StateSet& stay,
                               const StateSet& goal, Objective objective,
                               const SolverOptions& options = {});
-SolveResult mdp_until_bracket(const Mdp& mdp, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options = {});
 
-/// Per-state step-bounded reachability-style until values for MDPs:
-/// opt over schedulers of P[ stay U<=k goal ] where `stay`/`goal` are the
-/// satisfaction sets of the until operands.
+/// Per-state step-bounded until values: opt over schedulers of
+/// P[ stay U<=k goal ] where `stay`/`goal` are the satisfaction sets of the
+/// until operands. On a DTMC (one choice per row) the optimization is the
+/// identity and the sweep is the plain matrix-vector iteration.
 /// The `threads` parameter on the bounded/cumulative engines selects the
 /// parallelism of the per-state Jacobi sweeps (0 = TML_THREADS / hardware);
 /// results are bitwise identical for every thread count.
@@ -79,53 +65,21 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
                                       Objective objective,
                                       std::size_t threads = 0,
                                       const Budget* budget = nullptr);
-std::vector<double> mdp_bounded_until(const Mdp& mdp, const StateSet& stay,
-                                      const StateSet& goal, std::size_t bound,
-                                      Objective objective,
-                                      std::size_t threads = 0,
-                                      const Budget* budget = nullptr);
-
-/// DTMC step-bounded until.
-std::vector<double> dtmc_bounded_until(const CompiledModel& model,
-                                       const StateSet& stay,
-                                       const StateSet& goal, std::size_t bound,
-                                       std::size_t threads = 0,
-                                       const Budget* budget = nullptr);
-std::vector<double> dtmc_bounded_until(const Dtmc& chain, const StateSet& stay,
-                                       const StateSet& goal, std::size_t bound,
-                                       std::size_t threads = 0,
-                                       const Budget* budget = nullptr);
 
 /// Unbounded constrained reachability P[ stay U goal ] for DTMCs, by making
 /// the escape region absorbing and running linear-system reachability.
 std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
-                               const StateSet& goal);
-std::vector<double> dtmc_until(const Dtmc& chain, const StateSet& stay,
                                const StateSet& goal);
 
 /// Unbounded constrained reachability for MDPs.
 std::vector<double> mdp_until(const CompiledModel& model, const StateSet& stay,
                               const StateSet& goal, Objective objective,
                               const SolverOptions& options = {});
-std::vector<double> mdp_until(const Mdp& mdp, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options = {});
 
-/// Expected cumulative reward over the first `horizon` steps.
-std::vector<double> dtmc_cumulative_reward(const CompiledModel& model,
-                                           std::size_t horizon,
-                                           std::size_t threads = 0,
-                                           const Budget* budget = nullptr);
-std::vector<double> dtmc_cumulative_reward(const Dtmc& chain,
-                                           std::size_t horizon,
-                                           std::size_t threads = 0,
-                                           const Budget* budget = nullptr);
+/// Expected cumulative reward over the first `horizon` steps (DTMCs and
+/// MDPs alike; see mdp_bounded_until).
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
                                           std::size_t horizon,
-                                          Objective objective,
-                                          std::size_t threads = 0,
-                                          const Budget* budget = nullptr);
-std::vector<double> mdp_cumulative_reward(const Mdp& mdp, std::size_t horizon,
                                           Objective objective,
                                           std::size_t threads = 0,
                                           const Budget* budget = nullptr);

@@ -145,9 +145,8 @@ class BudgetExhausted : public Error {
 };
 
 /// Process-wide default budget, picked up by every options struct whose
-/// budget member the caller leaves untouched (mirrors
-/// default_solve_method). tml_check --timeout-ms sets it so even engines
-/// reached without an options struct are bounded.
+/// budget member the caller leaves untouched. tml_check --timeout-ms sets it
+/// so even engines reached without an options struct are bounded.
 Budget default_budget();
 void set_default_budget(const Budget& budget);
 

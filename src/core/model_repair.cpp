@@ -177,25 +177,41 @@ std::size_t property_step_bound(const StateFormula& property) {
   return 0;
 }
 
+using NumericFn = std::function<double(std::span<const double>)>;
+
 /// Numeric per-point evaluation of a step-bounded property on the
 /// instantiated chain. The expanded symbolic polynomial of a k-step
 /// iteration has degree ~k and loses all precision for large k; direct
-/// numeric evaluation is exact and cheap.
-double evaluate_bounded_numeric(const ParametricDtmc& chain, const Dtmc& base,
-                                const StateFormula& property,
-                                std::span<const double> x) {
-  const Dtmc concrete = chain.instantiate(x);
-  if (property.kind() == StateFormula::Kind::kProb) {
-    const PathFormula& path = property.path();
-    const StateSet goal = satisfying_states(base, path.right());
-    const StateSet stay = path.kind() == PathFormula::Kind::kUntil
-                              ? satisfying_states(base, path.left())
-                              : StateSet(base.num_states(), true);
-    return dtmc_bounded_until(concrete, stay, goal,
-                              *path.step_bound())[concrete.initial_state()];
+/// numeric evaluation is exact and cheap. The operand sets are label-defined
+/// and parameter-independent, so they are computed once here, not per NLP
+/// iterate. The returned evaluator references `chain`. The instantiated
+/// chain has one choice per row, so the sweeps' objective is immaterial.
+NumericFn bounded_numeric_evaluator(const ParametricDtmc& chain,
+                                    const Dtmc& base,
+                                    const StateFormula& property) {
+  if (property.kind() != StateFormula::Kind::kProb) {
+    const std::size_t horizon = property.reward_horizon();
+    return [&chain, horizon](std::span<const double> x) {
+      const CompiledModel concrete = compile(chain.instantiate(x));
+      const std::vector<double> values =
+          mdp_cumulative_reward(concrete, horizon, Objective::kMaximize);
+      return values[concrete.initial_state()];
+    };
   }
-  return dtmc_cumulative_reward(
-      concrete, property.reward_horizon())[concrete.initial_state()];
+  const CompiledModel compiled_base = compile(base);
+  const PathFormula& path = property.path();
+  const std::size_t bound = *path.step_bound();
+  StateSet goal = satisfying_states(compiled_base, path.right());
+  StateSet stay = path.kind() == PathFormula::Kind::kUntil
+                      ? satisfying_states(compiled_base, path.left())
+                      : StateSet(base.num_states(), true);
+  return [&chain, bound, stay = std::move(stay),
+          goal = std::move(goal)](std::span<const double> x) {
+    const CompiledModel concrete = compile(chain.instantiate(x));
+    const std::vector<double> values =
+        mdp_bounded_until(concrete, stay, goal, bound, Objective::kMaximize);
+    return values[concrete.initial_state()];
+  };
 }
 
 /// Symbolic closed forms stay exact up to roughly this step bound; beyond
@@ -225,12 +241,8 @@ ModelRepairResult model_repair(const PerturbationScheme& scheme,
     result.function_text =
         "<numeric " + std::to_string(property_step_bound(property)) +
         "-step evaluation>";
-    const ParametricDtmc* chain = &built.chain;
-    const Dtmc* base = &scheme.base();
-    const StateFormula* prop = &property;
-    evaluate = [chain, base, prop](std::span<const double> x) {
-      return evaluate_bounded_numeric(*chain, *base, *prop, x);
-    };
+    evaluate =
+        bounded_numeric_evaluator(built.chain, scheme.base(), property);
   } else {
     result.property_function = parametric_property_function(
         built.chain, scheme.base(), property, config.elimination);
@@ -332,7 +344,7 @@ EnvelopeRepairResult model_repair_envelope(
     const StateFormula* property;
     RationalFunction f;
     std::vector<RationalFunction> derivatives;
-    bool numeric = false;
+    NumericFn numeric;  ///< set when the step bound is too deep to expand
     bool upper = false;
     double bound = 0.0;
     double margin = 0.0;
@@ -341,8 +353,10 @@ EnvelopeRepairResult model_repair_envelope(
   for (std::size_t k = 0; k < properties.size(); ++k) {
     PropertyTerm& term = terms[k];
     term.property = properties[k].get();
-    term.numeric = property_step_bound(*term.property) > kMaxSymbolicStepBound;
-    if (!term.numeric) {
+    if (property_step_bound(*term.property) > kMaxSymbolicStepBound) {
+      term.numeric = bounded_numeric_evaluator(built.chain, scheme.base(),
+                                               *term.property);
+    } else {
       term.f = parametric_property_function(built.chain, scheme.base(),
                                             *term.property, config.elimination);
       for (Var v : built.variables) {
@@ -363,9 +377,7 @@ EnvelopeRepairResult model_repair_envelope(
 
   auto evaluate_term = [&](const PropertyTerm& term,
                            std::span<const double> x) {
-    return term.numeric ? evaluate_bounded_numeric(built.chain, scheme.base(),
-                                                   *term.property, x)
-                        : term.f.evaluate(x);
+    return term.numeric ? term.numeric(x) : term.f.evaluate(x);
   };
 
   Problem problem;
@@ -433,9 +445,9 @@ EnvelopeRepairResult model_repair_envelope(
 namespace {
 
 /// Greedy policy achieving the given reachability values.
-Policy reachability_policy(const Mdp& mdp, const StateSet& goal,
-                           Objective objective) {
-  const std::vector<double> values = mdp_reachability(mdp, goal, objective);
+Policy reachability_policy(const Mdp& mdp, const CompiledModel& model,
+                           const StateSet& goal, Objective objective) {
+  const std::vector<double> values = mdp_reachability(model, goal, objective);
   Policy policy;
   policy.choice_index.assign(mdp.num_states(), 0);
   for (StateId s = 0; s < mdp.num_states(); ++s) {
@@ -461,20 +473,21 @@ Policy reachability_policy(const Mdp& mdp, const StateSet& goal,
 
 Policy property_policy(const Mdp& mdp, const StateFormula& property) {
   const Objective objective = property_objective(property);
+  const CompiledModel model = compile(mdp);
   if (property.kind() == StateFormula::Kind::kReward) {
     TML_REQUIRE(property.reward_path_kind() ==
                     StateFormula::RewardPathKind::kReachability,
                 "mdp_model_repair: cumulative-reward properties need a "
                 "time-varying policy; repair the induced DTMC directly");
-    const StateSet goal = satisfying_states(mdp, property.reward_target());
-    return total_reward_to_target(mdp, goal, objective).policy;
+    const StateSet goal = satisfying_states(model, property.reward_target());
+    return total_reward_to_target(model, goal, objective).policy;
   }
   const PathFormula& path = property.path();
   TML_REQUIRE(!path.step_bound(),
               "mdp_model_repair: step-bounded paths need a time-varying "
               "policy; repair the induced DTMC directly");
-  const StateSet goal = satisfying_states(mdp, path.right());
-  return reachability_policy(mdp, goal, objective);
+  const StateSet goal = satisfying_states(model, path.right());
+  return reachability_policy(mdp, model, goal, objective);
 }
 
 bool same_policy(const Policy& a, const Policy& b) {

@@ -305,7 +305,6 @@ SolveResult RepairSession::certify(const Dtmc& chain,
   }
 
   SolverOptions options;
-  options.method = SolveMethod::kIntervalTopological;
   options.tolerance = config_.tolerance;
   options.threads = config_.threads;
   options.budget = budget;

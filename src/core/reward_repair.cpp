@@ -154,7 +154,8 @@ ProjectionResult reward_repair_projection(const Mdp& mdp,
 Policy optimal_policy_for_theta(const Mdp& mdp, const StateFeatures& features,
                                 std::span<const double> theta,
                                 double discount) {
-  const Mdp rewarded = with_linear_reward(mdp, features, theta);
+  const CompiledModel rewarded =
+      compile(with_linear_reward(mdp, features, theta));
   return value_iteration_discounted(rewarded, discount, Objective::kMaximize)
       .policy;
 }
@@ -184,7 +185,8 @@ QRepairResult reward_repair_q_constraints(
 
   // Evaluate Q(s, ·) under a candidate Θ' by running VI.
   auto q_table = [&](std::span<const double> candidate) {
-    const Mdp rewarded = with_linear_reward(mdp, features, candidate);
+    const CompiledModel rewarded =
+        compile(with_linear_reward(mdp, features, candidate));
     const SolveResult vi = value_iteration_discounted(
         rewarded, config.discount, Objective::kMaximize);
     return q_values_discounted(rewarded, vi.values, config.discount);

@@ -1,6 +1,5 @@
 #include "src/mdp/solver.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -11,20 +10,6 @@
 #include "src/mdp/graph.hpp"
 
 namespace tml {
-
-namespace {
-
-std::atomic<SolveMethod> g_default_method{SolveMethod::kIntervalTopological};
-
-}  // namespace
-
-SolveMethod default_solve_method() {
-  return g_default_method.load(std::memory_order_relaxed);
-}
-
-void set_default_solve_method(SolveMethod method) {
-  g_default_method.store(method, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -153,13 +138,6 @@ SolveResult value_iteration_discounted(const CompiledModel& model,
   return result;
 }
 
-SolveResult value_iteration_discounted(const Mdp& mdp, double discount,
-                                       Objective objective,
-                                       const SolverOptions& options) {
-  return value_iteration_discounted(compile(mdp), discount, objective,
-                                    options);
-}
-
 SolveResult policy_iteration_discounted(const CompiledModel& model,
                                         double discount, Objective objective,
                                         const SolverOptions& options) {
@@ -223,13 +201,6 @@ SolveResult policy_iteration_discounted(const CompiledModel& model,
                        std::to_string(result.iterations) + " iterations");
   }
   return result;
-}
-
-SolveResult policy_iteration_discounted(const Mdp& mdp, double discount,
-                                        Objective objective,
-                                        const SolverOptions& options) {
-  return policy_iteration_discounted(compile(mdp), discount, objective,
-                                     options);
 }
 
 SolveResult total_reward_to_target(const CompiledModel& model,
@@ -319,12 +290,6 @@ SolveResult total_reward_to_target(const CompiledModel& model,
   return result;
 }
 
-SolveResult total_reward_to_target(const Mdp& mdp, const StateSet& targets,
-                                   Objective objective,
-                                   const SolverOptions& options) {
-  return total_reward_to_target(compile(mdp), targets, objective, options);
-}
-
 std::vector<std::vector<double>> q_values_discounted(
     const CompiledModel& model, std::span<const double> values,
     double discount, std::size_t threads) {
@@ -346,12 +311,6 @@ std::vector<std::vector<double>> q_values_discounted(
       },
       threads);
   return q;
-}
-
-std::vector<std::vector<double>> q_values_discounted(
-    const Mdp& mdp, std::span<const double> values, double discount,
-    std::size_t threads) {
-  return q_values_discounted(compile(mdp), values, discount, threads);
 }
 
 Policy greedy_policy(const std::vector<std::vector<double>>& q,
@@ -395,12 +354,6 @@ std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
     }
   }
   return solve_linear_system(std::move(a), std::move(b));
-}
-
-std::vector<double> evaluate_policy_discounted(const Mdp& mdp,
-                                               const Policy& policy,
-                                               double discount) {
-  return evaluate_policy_discounted(compile(mdp), policy, discount);
 }
 
 std::vector<double> dtmc_total_reward(const CompiledModel& model,
@@ -452,11 +405,6 @@ std::vector<double> dtmc_total_reward(const CompiledModel& model,
   return values;
 }
 
-std::vector<double> dtmc_total_reward(const Dtmc& chain,
-                                      const StateSet& targets) {
-  return dtmc_total_reward(compile(chain), targets);
-}
-
 std::vector<double> dtmc_reachability(const CompiledModel& model,
                                       const StateSet& targets) {
   TML_REQUIRE(model.deterministic(),
@@ -501,11 +449,6 @@ std::vector<double> dtmc_reachability(const CompiledModel& model,
   const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
   for (std::size_t i = 0; i < unknowns.size(); ++i) values[unknowns[i]] = x[i];
   return values;
-}
-
-std::vector<double> dtmc_reachability(const Dtmc& chain,
-                                      const StateSet& targets) {
-  return dtmc_reachability(compile(chain), targets);
 }
 
 }  // namespace tml

@@ -26,37 +26,14 @@ namespace tml {
 /// Optimization direction for MDP solvers.
 enum class Objective { kMaximize, kMinimize };
 
-/// How unbounded reachability/until systems are solved (mdp_reachability
-/// and everything layered on it: mdp_until, the PCTL checker).
+/// Engine for unbounded reachability/until (mdp_reachability and everything
+/// layered on it: mdp_until, the PCTL checker). There is one: sound interval
+/// iteration over the SCC condensation, which returns a certified bracket
+/// (SolveResult::lo/hi) containing the exact value up to floating-point
+/// rounding of the Bellman operator itself (see src/checker/reachability.hpp).
 enum class SolveMethod {
-  /// Plain Jacobi value iteration with the classic `delta < eps` stopping
-  /// rule. Fast, but the stopping rule is UNSOUND: a small per-sweep delta
-  /// does not bound the distance to the fixpoint, and slowly-mixing models
-  /// can "converge" arbitrarily far from the true value (see
-  /// tests/test_sound_convergence.cpp for a concrete offender).
-  kValueIteration,
-  /// Classic value iteration swept one SCC block at a time in dependency
-  /// order. Usually faster (each block iterates against already-final
-  /// downstream values; acyclic regions solve in closed form) but inherits
-  /// the unsound per-block stopping rule.
-  kTopological,
-  /// Sound interval iteration over the SCC condensation: a lower and an
-  /// upper value vector, initialized from the graph-certain prob0/prob1
-  /// sets, converge toward each other; end components are deflated to
-  /// their best exit so the upper iterate cannot stall; a block finishes
-  /// only when `upper - lower < eps` holds on every state. Returns a
-  /// certified bracket (SolveResult::lo/hi) containing the exact value
-  /// (up to floating-point rounding of the Bellman operator itself).
   kIntervalTopological,
 };
-
-/// Process-wide default engine used by default-constructed SolverOptions.
-/// Starts as kIntervalTopological. Tools and benches that want to compare
-/// engines END-TO-END (through the PCTL checker, which builds its own
-/// default SolverOptions) switch it via set_default_solve_method — e.g.
-/// `tml_check --method classic` and the bench/perf_checker comparisons.
-SolveMethod default_solve_method();
-void set_default_solve_method(SolveMethod method);
 
 /// Warm-start seed for the iterative solvers, produced by a previous solve
 /// of the SAME graph (same states, same positive-probability support, same
@@ -67,18 +44,18 @@ void set_default_solve_method(SolveMethod method);
 /// no dirty state and no dirty block downstream cannot have changed value
 /// at all — the warm engines skip them outright.
 ///
-/// Soundness of the certified bracket (kIntervalTopological) does NOT rest
-/// on the caller's widening being large enough: before a re-swept block
-/// accepts a widened seed, the solver applies one Bellman step and checks
-/// the super-/sub-solution inequalities (F(hi) ≤ hi always certifies an
+/// Soundness of the certified bracket does NOT rest on the caller's
+/// widening being large enough: before a re-swept block accepts a widened
+/// seed, the solver applies one Bellman step and checks the
+/// super-/sub-solution inequalities (F(hi) ≤ hi always certifies an
 /// upper bound, since the reachability value is the least fixpoint;
 /// F(lo) ≥ lo certifies a lower bound when the block has no end component
 /// among its unknown states, which the engine checks). A seed that fails
 /// its certificate is replaced by the cold 0/1 initialization for that
 /// block — warm starts can only lose speed, never soundness.
 struct WarmStart {
-  /// Previous point estimate; seeds the classic/topological/discounted
-  /// engines (size must equal num_states, else the seed is ignored).
+  /// Previous point estimate; seeds the discounted value iteration (size
+  /// must equal num_states, else the seed is ignored).
   std::vector<double> values;
   /// Previous certified bracket; seeds the interval engine (both must be
   /// num_states-sized, else ignored).
@@ -113,11 +90,9 @@ struct SolverOptions {
   /// iteration counts are bitwise identical for every thread count.
   std::size_t threads = 0;
   /// Engine for unbounded reachability/until (ignored by the discounted
-  /// and total-reward solvers). Sound interval iteration is the default:
-  /// every repair decision in the library ultimately rests on these values,
-  /// and repaired models sit near constraint boundaries where an unsound
-  /// `delta < eps` stop can flip a verdict.
-  SolveMethod method = default_solve_method();
+  /// and total-reward solvers). Sound interval iteration is the only one;
+  /// the field stays so callers that name the engine keep compiling.
+  SolveMethod method = SolveMethod::kIntervalTopological;
   /// Resource budget (wall clock / sweep cap / cancellation). One tick per
   /// sweep (or policy-iteration round). On exhaustion the solver stops at
   /// the sweep boundary and returns its current iterate flagged
@@ -137,8 +112,8 @@ struct SolveResult {
   std::size_t iterations = 0;
   bool converged = false;
   /// Certified per-state bracket `lo[s] <= v*(s) <= hi[s]` with
-  /// `hi - lo < tolerance` on convergence. Only filled by
-  /// SolveMethod::kIntervalTopological; empty for point-estimate engines.
+  /// `hi - lo < tolerance` on convergence. Only filled by the reachability
+  /// engine; empty for the discounted and total-reward solvers.
   std::vector<double> lo;
   std::vector<double> hi;
   /// kBudgetExhausted when the solver stopped at a checkpoint because its
@@ -156,13 +131,9 @@ struct SolveResult {
 };
 
 /// Discounted value iteration: V(s) = opt_a [ r(s) + r(s,a) + γ Σ P V ].
-/// `discount` must lie in (0, 1). The Mdp overload compiles and delegates;
-/// callers solving the same model repeatedly should compile once themselves.
+/// `discount` must lie in (0, 1).
 SolveResult value_iteration_discounted(const CompiledModel& model,
                                        double discount, Objective objective,
-                                       const SolverOptions& options = {});
-SolveResult value_iteration_discounted(const Mdp& mdp, double discount,
-                                       Objective objective,
                                        const SolverOptions& options = {});
 
 /// Howard policy iteration for the discounted criterion: exact policy
@@ -172,9 +143,6 @@ SolveResult value_iteration_discounted(const Mdp& mdp, double discount,
 /// VI's γ-contraction is slow.
 SolveResult policy_iteration_discounted(const CompiledModel& model,
                                         double discount, Objective objective,
-                                        const SolverOptions& options = {});
-SolveResult policy_iteration_discounted(const Mdp& mdp, double discount,
-                                        Objective objective,
                                         const SolverOptions& options = {});
 
 /// Expected total reward accumulated until reaching `targets` (which pin
@@ -186,9 +154,6 @@ SolveResult total_reward_to_target(const CompiledModel& model,
                                    const StateSet& targets,
                                    Objective objective,
                                    const SolverOptions& options = {});
-SolveResult total_reward_to_target(const Mdp& mdp, const StateSet& targets,
-                                   Objective objective,
-                                   const SolverOptions& options = {});
 
 /// Q-values for the discounted criterion at a given value function:
 /// Q(s, c) = r(s) + r(s,c) + γ Σ_t P(t|s,c) V(t).
@@ -196,9 +161,6 @@ SolveResult total_reward_to_target(const Mdp& mdp, const StateSet& targets,
 std::vector<std::vector<double>> q_values_discounted(
     const CompiledModel& model, std::span<const double> values,
     double discount, std::size_t threads = 0);
-std::vector<std::vector<double>> q_values_discounted(
-    const Mdp& mdp, std::span<const double> values, double discount,
-    std::size_t threads = 0);
 
 /// Greedy deterministic policy for given Q-values (ties resolved to the
 /// smallest choice index, which keeps results deterministic).
@@ -212,23 +174,16 @@ Policy greedy_policy(const std::vector<std::vector<double>>& q,
 std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
                                                const Policy& policy,
                                                double discount);
-std::vector<double> evaluate_policy_discounted(const Mdp& mdp,
-                                               const Policy& policy,
-                                               double discount);
 
 /// Expected total reward of a DTMC until reaching `targets` (value 0 at
 /// targets), by direct linear solve. States that reach the target with
 /// probability < 1 get +inf.
 std::vector<double> dtmc_total_reward(const CompiledModel& model,
                                       const StateSet& targets);
-std::vector<double> dtmc_total_reward(const Dtmc& chain,
-                                      const StateSet& targets);
 
 /// Probability of eventually reaching `targets` in a DTMC (linear solve with
 /// prob0/prob1 graph preprocessing).
 std::vector<double> dtmc_reachability(const CompiledModel& model,
-                                      const StateSet& targets);
-std::vector<double> dtmc_reachability(const Dtmc& chain,
                                       const StateSet& targets);
 
 }  // namespace tml

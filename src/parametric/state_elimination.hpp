@@ -80,7 +80,7 @@ struct EliminationOptions {
 /// Process-wide default used by the entry points that don't take explicit
 /// options (and by default-constructed repair configs). The stored default
 /// never carries a budget pointer. Not thread-safe, like the other
-/// process-wide defaults (set_default_budget, set_default_solve_method).
+/// process-wide default (set_default_budget).
 EliminationOptions default_elimination_options();
 void set_default_elimination_options(EliminationOptions options);
 

@@ -103,18 +103,18 @@ TEST(Shaping, PolicyInvarianceTheorem) {
   // A goal-seeking reward that makes the unsafe straight-through optimal.
   rewarded.set_state_reward(4, 1.0);
   const double discount = 0.9;
-  const Policy before =
-      value_iteration_discounted(rewarded, discount, Objective::kMaximize)
-          .policy;
+  const Policy before = value_iteration_discounted(
+                            compile(rewarded), discount, Objective::kMaximize)
+                            .policy;
   EXPECT_TRUE(car_policy_unsafe(car, before));
 
   // Shape with a strongly repulsive potential on the unsafe states.
   const std::vector<double> potential =
       repulsive_potential(rewarded, "unsafe", 50.0);
   const Mdp shaped = apply_potential_shaping(rewarded, potential, discount);
-  const Policy after =
-      value_iteration_discounted(shaped, discount, Objective::kMaximize)
-          .policy;
+  const Policy after = value_iteration_discounted(
+                           compile(shaped), discount, Objective::kMaximize)
+                           .policy;
   // Theorem: same optimal policy — still unsafe. (Reward Repair, by
   // contrast, flips it; see test_car.cpp.)
   EXPECT_EQ(before.choice_index, after.choice_index);
@@ -131,9 +131,9 @@ TEST(Shaping, ValuesShiftByPotential) {
   const std::vector<double> potential{2.0, -1.0};
   const Mdp shaped = apply_potential_shaping(mdp, potential, discount);
   const SolveResult base =
-      value_iteration_discounted(mdp, discount, Objective::kMaximize);
-  const SolveResult after =
-      value_iteration_discounted(shaped, discount, Objective::kMaximize);
+      value_iteration_discounted(compile(mdp), discount, Objective::kMaximize);
+  const SolveResult after = value_iteration_discounted(
+      compile(shaped), discount, Objective::kMaximize);
   for (StateId s = 0; s < 2; ++s) {
     EXPECT_NEAR(after.values[s], base.values[s] - potential[s], 1e-6);
   }

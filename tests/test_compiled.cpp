@@ -275,6 +275,28 @@ std::vector<double> dtmc_reachability(const Dtmc& chain,
   return values;
 }
 
+std::vector<double> bounded_until(const Dtmc& chain, const StateSet& stay,
+                                  const StateSet& goal, std::size_t bound) {
+  const std::size_t n = chain.num_states();
+  std::vector<double> values(n, 0.0);
+  for (StateId s = 0; s < n; ++s) {
+    if (goal[s]) values[s] = 1.0;
+  }
+  std::vector<double> next = values;
+  for (std::size_t k = 0; k < bound; ++k) {
+    for (StateId s = 0; s < n; ++s) {
+      if (goal[s] || !stay[s]) continue;
+      double q = 0.0;
+      for (const Transition& t : chain.transitions(s)) {
+        q += t.probability * values[t.target];
+      }
+      next[s] = q;
+    }
+    values.swap(next);
+  }
+  return values;
+}
+
 std::vector<double> mdp_reachability(const Mdp& mdp, const StateSet& targets,
                                      Objective objective) {
   const std::size_t n = mdp.num_states();
@@ -655,13 +677,16 @@ TEST(Compiled, BoundedUntilMatchesAcrossRepresentations) {
     const StateSet stay = random_subset(rng, n, 0.7);
     const StateSet goal = random_subset(rng, n, 0.2);
     const std::size_t bound = 1 + rng.index(12);
-    // The chain viewed as a one-choice MDP must give identical bounded-until
-    // values through the MDP engine.
-    const CompiledModel as_mdp = compile(chain.as_mdp());
-    expect_values_near(
-        dtmc_bounded_until(compile(chain), stay, goal, bound),
-        mdp_bounded_until(as_mdp, stay, goal, bound, Objective::kMaximize),
-        "bounded_until", trial);
+    // The compiled DTMC and the chain viewed as a one-choice MDP both run
+    // the one bounded sweep and must match the builder-level reference.
+    const std::vector<double> want =
+        ref::bounded_until(chain, stay, goal, bound);
+    for (const CompiledModel& model :
+         {compile(chain), compile(chain.as_mdp())}) {
+      expect_values_near(
+          mdp_bounded_until(model, stay, goal, bound, Objective::kMaximize),
+          want, "bounded_until", trial);
+    }
   }
 }
 

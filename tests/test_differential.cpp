@@ -1,4 +1,5 @@
-// Differential test harness: every floating-point reachability engine is
+// Differential test harness: the floating-point reachability engines (sound
+// interval iteration, and the dense DTMC solve on deterministic models) are
 // cross-checked against an exact rational-arithmetic oracle (tests/oracle.hpp)
 // on seeded random models.
 //
@@ -19,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "src/checker/reachability.hpp"
-#include "src/common/error.hpp"
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/solver.hpp"
 #include "tests/oracle.hpp"
@@ -34,7 +34,7 @@ std::uint64_t base_seed() {
   return 20260805ull;
 }
 
-/// Runs every engine on one model/objective and compares against the oracle.
+/// Runs each engine on one model/objective and compares against the oracle.
 void check_against_oracle(const oracle::RandomModel& rm, Objective objective,
                           std::uint64_t seed) {
   const CompiledModel model = compile(rm.mdp);
@@ -47,32 +47,13 @@ void check_against_oracle(const oracle::RandomModel& rm, Objective objective,
   opts.tolerance = 1e-9;
   opts.max_iterations = 5000000;
 
-  // Point engines: land within eps of the oracle. The classic engine's
-  // `delta < eps` stop undershoots by up to eps/(1 - lambda), so its check
-  // is necessarily looser than the tolerance. On slow-mixing draws the
-  // unsound engines can exhaust even a generous sweep budget before their
-  // per-sweep delta reaches 1e-9; that is their documented failure mode,
-  // not a differential mismatch, so those draws only skip the point check
-  // (the sound interval engine below is never excused).
-  for (const SolveMethod method :
-       {SolveMethod::kValueIteration, SolveMethod::kTopological,
-        SolveMethod::kIntervalTopological}) {
-    opts.method = method;
-    std::vector<double> values;
-    try {
-      values = mdp_reachability(model, rm.targets, objective, opts);
-    } catch (const NumericError&) {
-      EXPECT_NE(method, SolveMethod::kIntervalTopological)
-          << "seed=" << seed << " " << dir
-          << ": sound engine failed to certify within the sweep budget";
-      continue;
-    }
-    for (StateId s = 0; s < n; ++s) {
-      EXPECT_NEAR(values[s], exact[s].to_double(), 1e-5)
-          << "seed=" << seed << " " << dir << " state=" << s
-          << " method=" << static_cast<int>(method)
-          << " oracle=" << exact[s].to_string();
-    }
+  // Point values: the bracket midpoint lands within eps of the oracle.
+  const std::vector<double> point =
+      mdp_reachability(model, rm.targets, objective, opts);
+  for (StateId s = 0; s < n; ++s) {
+    EXPECT_NEAR(point[s], exact[s].to_double(), 1e-5)
+        << "seed=" << seed << " " << dir << " state=" << s
+        << " oracle=" << exact[s].to_string();
   }
 
   // DTMC linear-solve engine on deterministic models.
@@ -107,29 +88,18 @@ void check_against_oracle(const oracle::RandomModel& rm, Objective objective,
   }
 
   // Bitwise determinism across thread counts for the parallel sweeps.
-  for (const SolveMethod method :
-       {SolveMethod::kTopological, SolveMethod::kIntervalTopological}) {
-    opts.method = method;
-    opts.threads = 1;
-    std::vector<double> reference;
-    try {
-      reference = mdp_reachability(model, rm.targets, objective, opts);
-    } catch (const NumericError&) {
-      opts.threads = 0;
-      continue;  // slow-mixing draw; the point check above already flagged it
+  opts.threads = 1;
+  const std::vector<double> reference =
+      mdp_reachability(model, rm.targets, objective, opts);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    opts.threads = threads;
+    const std::vector<double> parallel =
+        mdp_reachability(model, rm.targets, objective, opts);
+    for (StateId s = 0; s < n; ++s) {
+      EXPECT_EQ(parallel[s], reference[s])
+          << "seed=" << seed << " " << dir << " state=" << s
+          << " threads=" << threads;
     }
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-      opts.threads = threads;
-      const std::vector<double> values =
-          mdp_reachability(model, rm.targets, objective, opts);
-      for (StateId s = 0; s < n; ++s) {
-        EXPECT_EQ(values[s], reference[s])
-            << "seed=" << seed << " " << dir << " state=" << s
-            << " threads=" << threads
-            << " method=" << static_cast<int>(method);
-      }
-    }
-    opts.threads = 0;
   }
 }
 

@@ -67,6 +67,22 @@ Dtmc retry_chain() {
 
 Mdp retry_mdp() { return retry_chain().as_mdp(); }
 
+/// Gambler's ruin on 0..4 (0 fails, 4 is the goal): the unknown states 1..3
+/// form one SCC with values strictly inside (0,1), so the interval engine
+/// must sweep it — a single-state block would be solved in closed form and
+/// never reach the sweep/convergence fault sites.
+Dtmc ruin_walk() {
+  Dtmc chain(5);
+  chain.set_transitions(0, {Transition{0, 1.0}});
+  chain.set_transitions(4, {Transition{4, 1.0}});
+  for (StateId s = 1; s <= 3; ++s) {
+    chain.set_transitions(s,
+                          {Transition{s - 1, 0.5}, Transition{s + 1, 0.5}});
+  }
+  chain.add_label(4, "goal");
+  return chain;
+}
+
 // ---------------------------------------------------------------------------
 // Registry mechanics.
 
@@ -121,27 +137,25 @@ TEST_F(FaultTest, SolverSweepNanIsTypedNumericError) {
 
 TEST_F(FaultTest, CheckerSweepNanIsTypedNumericError) {
   fault::arm("checker.sweep", "nan");
-  const CompiledModel model = compile(retry_mdp());
-  StateSet targets(model.num_states());
-  targets.set(1);
-  SolverOptions classic;
-  classic.method = SolveMethod::kValueIteration;
-  EXPECT_THROW(
-      (void)mdp_reachability(model, targets, Objective::kMaximize, classic),
-      NumericError);
+  const CompiledModel model = compile(ruin_walk());
+  EXPECT_THROW((void)mdp_reachability(model, model.states_with_label("goal"),
+                                      Objective::kMaximize),
+               NumericError);
+  EXPECT_GE(fault::hits("checker.sweep"), 1u);
 }
 
 TEST_F(FaultTest, ForcedNonConvergenceIsTypedNumericError) {
   fault::arm("checker.converge", "on");
-  const CompiledModel model = compile(retry_mdp());
-  StateSet targets(model.num_states());
-  targets.set(1);
-  SolverOptions classic;
-  classic.method = SolveMethod::kValueIteration;
-  classic.max_iterations = 50;
-  EXPECT_THROW(
-      (void)mdp_reachability(model, targets, Objective::kMaximize, classic),
-      NumericError);
+  const CompiledModel model = compile(ruin_walk());
+  // The gap closes below 1e-3 within ~20 sweeps; every later sweep asks
+  // the site, which refuses, until the sweep cap throws.
+  SolverOptions options;
+  options.tolerance = 1e-3;
+  options.max_iterations = 50;
+  EXPECT_THROW((void)mdp_reachability(model, model.states_with_label("goal"),
+                                      Objective::kMaximize, options),
+               NumericError);
+  EXPECT_GE(fault::hits("checker.converge"), 1u);
 }
 
 TEST_F(FaultTest, NlpDiscardsPoisonedEvaluations) {

@@ -322,9 +322,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSemantics, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
 // Quotient leg: checking the bisimulation quotient must agree with checking
-// the original model under every solve method. Unlike the suites above this
-// leg honours TML_FUZZ_SEED, so CI's rotating-seed matrix exercises fresh
-// random models on every run.
+// the original model. Unlike the suites above this leg honours
+// TML_FUZZ_SEED, so CI's rotating-seed matrix exercises fresh random models
+// on every run.
 
 std::uint64_t fuzz_base_seed() {
   if (const char* env = std::getenv("TML_FUZZ_SEED")) {
@@ -333,15 +333,9 @@ std::uint64_t fuzz_base_seed() {
   return 20260805ull;
 }
 
-/// Restores the process-wide solve method even when an assertion bails out.
-struct SolveMethodGuard {
-  SolveMethod saved = default_solve_method();
-  ~SolveMethodGuard() { set_default_solve_method(saved); }
-};
-
 class FuzzQuotient : public ::testing::TestWithParam<int> {};
 
-TEST_P(FuzzQuotient, QuotientedCheckAgreesAcrossSolveMethods) {
+TEST_P(FuzzQuotient, QuotientedCheckAgreesWithDirect) {
   const std::uint64_t seed =
       fuzz_base_seed() + static_cast<std::uint64_t>(GetParam()) * 7919;
   Rng rng(seed);
@@ -356,31 +350,23 @@ TEST_P(FuzzQuotient, QuotientedCheckAgreesAcrossSolveMethods) {
       "Pmin=? [ !\"goal\" U \"goal\" ]",
       "Pmax=? [ F<=9 \"goal\" ]",
   };
-  SolveMethodGuard guard;
-  for (const SolveMethod method :
-       {SolveMethod::kValueIteration, SolveMethod::kTopological,
-        SolveMethod::kIntervalTopological}) {
-    set_default_solve_method(method);
-    CheckOptions with_quotient;
-    with_quotient.quotient = true;
-    for (const char* text : formulas) {
-      const StateFormulaPtr formula = parse_pctl(text);
-      const CheckResult direct = check(model, *formula);
-      const CheckResult quotiented = check(model, *formula, with_quotient);
-      EXPECT_GT(quotiented.quotient_states, 0u)
-          << text << " seed=" << seed << " method=" << static_cast<int>(method);
-      ASSERT_TRUE(direct.value.has_value()) << text;
-      ASSERT_TRUE(quotiented.value.has_value()) << text;
-      // Both paths solve to 1e-9-ish tolerance; 1e-6 absorbs the different
-      // iteration counts the two state spaces need.
-      EXPECT_NEAR(*quotiented.value, *direct.value, 1e-6)
-          << text << " seed=" << seed << " method=" << static_cast<int>(method);
-      ASSERT_EQ(quotiented.values.size(), direct.values.size()) << text;
-      for (std::size_t s = 0; s < direct.values.size(); ++s) {
-        EXPECT_NEAR(quotiented.values[s], direct.values[s], 1e-6)
-            << text << " seed=" << seed << " state=" << s
-            << " method=" << static_cast<int>(method);
-      }
+  CheckOptions with_quotient;
+  with_quotient.quotient = true;
+  for (const char* text : formulas) {
+    const StateFormulaPtr formula = parse_pctl(text);
+    const CheckResult direct = check(model, *formula);
+    const CheckResult quotiented = check(model, *formula, with_quotient);
+    EXPECT_GT(quotiented.quotient_states, 0u) << text << " seed=" << seed;
+    ASSERT_TRUE(direct.value.has_value()) << text;
+    ASSERT_TRUE(quotiented.value.has_value()) << text;
+    // Both paths solve to 1e-9-ish tolerance; 1e-6 absorbs the different
+    // iteration counts the two state spaces need.
+    EXPECT_NEAR(*quotiented.value, *direct.value, 1e-6)
+        << text << " seed=" << seed;
+    ASSERT_EQ(quotiented.values.size(), direct.values.size()) << text;
+    for (std::size_t s = 0; s < direct.values.size(); ++s) {
+      EXPECT_NEAR(quotiented.values[s], direct.values[s], 1e-6)
+          << text << " seed=" << seed << " state=" << s;
     }
   }
 }

@@ -157,8 +157,8 @@ TEST(Integration, EliminationHandlesNonTreeTopologies) {
   const RationalFunction f = expected_total_reward(chain, goal);
   for (const double xv : {0.2, 0.5, 0.8}) {
     const std::vector<double> pt{xv};
-    const Dtmc at = chain.instantiate(pt);
-    const std::vector<double> numeric = dtmc_total_reward(at, goal);
+    const std::vector<double> numeric =
+        dtmc_total_reward(compile(chain.instantiate(pt)), goal);
     EXPECT_NEAR(f.evaluate(pt), numeric[0], 1e-9);
   }
 }

@@ -130,7 +130,7 @@ TEST(IntervalReachability, ZeroRadiusCollapsesToPointSolver) {
   for (const Objective objective :
        {Objective::kMaximize, Objective::kMinimize}) {
     const std::vector<double> point =
-        mdp_reachability(nominal, targets, objective);
+        mdp_reachability(compile(nominal), targets, objective);
     for (const Nature nature : {Nature::kAdversarial, Nature::kCooperative}) {
       const std::vector<double> robust =
           interval_reachability(degenerate, targets, objective, nature);

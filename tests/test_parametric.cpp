@@ -215,7 +215,7 @@ TEST_P(EliminationCrossValidation, MatchesNumericEngine) {
   for (int trial = 0; trial < 5; ++trial) {
     const std::vector<double> pt{rng.uniform(-0.3, 0.3),
                                  rng.uniform(-0.3, 0.3)};
-    const Dtmc concrete = chain.instantiate(pt);
+    const CompiledModel concrete = compile(chain.instantiate(pt));
     const std::vector<double> numeric_reach =
         dtmc_reachability(concrete, target);
     const std::vector<double> numeric_reward =

@@ -239,7 +239,7 @@ TEST_P(OrderInvariance, RewardAgreesOrThrowsConsistently) {
     }
     const Dtmc concrete = pc.chain.instantiate(pt);
     const std::vector<double> numeric =
-        dtmc_total_reward(concrete, generated.targets);
+        dtmc_total_reward(compile(concrete), generated.targets);
     EXPECT_NEAR(reference, numeric[concrete.initial_state()],
                 1e-6 * std::max(1.0, numeric[concrete.initial_state()]));
   }

@@ -86,7 +86,8 @@ TEST(Sensitivity, WsnRanksFieldStationCorrectionFirst) {
   const Mdp mdp = build_wsn_mdp(config);
   const StateSet delivered = mdp.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(mdp, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = mdp.induced_dtmc(routing);
   const PerturbationScheme scheme = wsn_perturbation(config, induced, 0.08);
   const SensitivityReport report = sensitivity_analysis(

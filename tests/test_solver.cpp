@@ -32,7 +32,7 @@ StateSet target_1(std::size_t n = 2) {
 TEST(DtmcTotalReward, GeometricRetry) {
   for (const double q : {0.0, 0.5, 0.9, 0.99}) {
     const Dtmc chain = retry_chain(q);
-    const std::vector<double> v = dtmc_total_reward(chain, target_1());
+    const std::vector<double> v = dtmc_total_reward(compile(chain), target_1());
     EXPECT_NEAR(v[0], 1.0 / (1.0 - q), 1e-9) << "q=" << q;
     EXPECT_DOUBLE_EQ(v[1], 0.0);
   }
@@ -44,7 +44,7 @@ TEST(DtmcTotalReward, UnreachableTargetIsInfinite) {
   chain.set_transitions(1, {Transition{1, 1.0}});
   chain.set_transitions(2, {Transition{0, 1.0}});
   chain.set_state_reward(2, 1.0);
-  const std::vector<double> v = dtmc_total_reward(chain, target_1(3));
+  const std::vector<double> v = dtmc_total_reward(compile(chain), target_1(3));
   EXPECT_EQ(v[0], kInf);
   EXPECT_DOUBLE_EQ(v[1], 0.0);
   EXPECT_EQ(v[2], kInf);
@@ -57,7 +57,7 @@ TEST(DtmcTotalReward, PartialReachabilityIsInfinite) {
   chain.set_transitions(1, {Transition{1, 1.0}});
   chain.set_transitions(2, {Transition{2, 1.0}});
   chain.set_state_reward(0, 1.0);
-  const std::vector<double> v = dtmc_total_reward(chain, target_1(3));
+  const std::vector<double> v = dtmc_total_reward(compile(chain), target_1(3));
   EXPECT_EQ(v[0], kInf);
 }
 
@@ -73,7 +73,7 @@ TEST(DtmcReachability, GamblersRuin) {
   }
   StateSet target(5, false);
   target[4] = true;
-  const std::vector<double> v = dtmc_reachability(chain, target);
+  const std::vector<double> v = dtmc_reachability(compile(chain), target);
   for (StateId s = 0; s <= 4; ++s) {
     EXPECT_NEAR(v[s], s / 4.0, 1e-9);
   }
@@ -81,7 +81,7 @@ TEST(DtmcReachability, GamblersRuin) {
 
 TEST(DtmcReachability, TrivialCases) {
   const Dtmc chain = retry_chain(0.3);
-  const std::vector<double> v = dtmc_reachability(chain, target_1());
+  const std::vector<double> v = dtmc_reachability(compile(chain), target_1());
   EXPECT_NEAR(v[0], 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(v[1], 1.0);
 }
@@ -99,7 +99,7 @@ Mdp two_route_mdp() {
 }
 
 TEST(TotalRewardToTarget, MinPicksCheapRoute) {
-  const Mdp mdp = two_route_mdp();
+  const CompiledModel mdp = compile(two_route_mdp());
   const SolveResult r = total_reward_to_target(
       mdp, mdp.states_with_label("goal"), Objective::kMinimize);
   EXPECT_TRUE(r.converged);
@@ -108,7 +108,7 @@ TEST(TotalRewardToTarget, MinPicksCheapRoute) {
 }
 
 TEST(TotalRewardToTarget, MaxPicksExpensiveRoute) {
-  const Mdp mdp = two_route_mdp();
+  const CompiledModel mdp = compile(two_route_mdp());
   const SolveResult r = total_reward_to_target(
       mdp, mdp.states_with_label("goal"), Objective::kMaximize);
   EXPECT_NEAR(r.values[0], 5.0, 1e-9);
@@ -123,7 +123,7 @@ TEST(TotalRewardToTarget, RminInfiniteWithoutSureRoute) {
   mdp.add_choice(2, "stay", {Transition{2, 1.0}});
   mdp.add_label(1, "goal");
   const SolveResult r = total_reward_to_target(
-      mdp, mdp.states_with_label("goal"), Objective::kMinimize);
+      compile(mdp), mdp.states_with_label("goal"), Objective::kMinimize);
   EXPECT_EQ(r.values[0], kInf);
 }
 
@@ -135,7 +135,7 @@ TEST(TotalRewardToTarget, RmaxInfiniteWhenAvoidable) {
   mdp.add_choice(1, "stay", {Transition{1, 1.0}});
   mdp.add_label(1, "goal");
   const SolveResult r = total_reward_to_target(
-      mdp, mdp.states_with_label("goal"), Objective::kMaximize);
+      compile(mdp), mdp.states_with_label("goal"), Objective::kMaximize);
   EXPECT_EQ(r.values[0], kInf);
 }
 
@@ -145,7 +145,7 @@ TEST(ValueIterationDiscounted, ClosedFormSingleLoop) {
   mdp.add_choice(0, "stay", {Transition{0, 1.0}});
   mdp.set_state_reward(0, 1.0);
   const SolveResult r =
-      value_iteration_discounted(mdp, 0.9, Objective::kMaximize);
+      value_iteration_discounted(compile(mdp), 0.9, Objective::kMaximize);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.values[0], 10.0, 1e-6);
 }
@@ -157,25 +157,27 @@ TEST(ValueIterationDiscounted, PrefersHigherRewardLoop) {
   mdp.add_choice(1, "stay", {Transition{1, 1.0}});
   mdp.set_state_reward(0, 1.0);
   mdp.set_state_reward(1, 2.0);
+  const CompiledModel model = compile(mdp);
   const SolveResult max =
-      value_iteration_discounted(mdp, 0.9, Objective::kMaximize);
+      value_iteration_discounted(model, 0.9, Objective::kMaximize);
   EXPECT_EQ(max.policy.choice_index[0], 1u);
   const SolveResult min =
-      value_iteration_discounted(mdp, 0.9, Objective::kMinimize);
+      value_iteration_discounted(model, 0.9, Objective::kMinimize);
   EXPECT_EQ(min.policy.choice_index[0], 0u);
 }
 
 TEST(ValueIterationDiscounted, RejectsBadDiscount) {
   Mdp mdp(1);
   mdp.add_choice(0, "stay", {Transition{0, 1.0}});
-  EXPECT_THROW(value_iteration_discounted(mdp, 1.0, Objective::kMaximize),
+  const CompiledModel model = compile(mdp);
+  EXPECT_THROW(value_iteration_discounted(model, 1.0, Objective::kMaximize),
                Error);
-  EXPECT_THROW(value_iteration_discounted(mdp, 0.0, Objective::kMaximize),
+  EXPECT_THROW(value_iteration_discounted(model, 0.0, Objective::kMaximize),
                Error);
 }
 
 TEST(QValues, MatchManualComputation) {
-  const Mdp mdp = two_route_mdp();
+  const CompiledModel mdp = compile(two_route_mdp());
   const std::vector<double> values{1.0, 2.0, 3.0};
   const auto q = q_values_discounted(mdp, values, 0.5);
   // Q(0, fast) = 0 + 5 + 0.5·3 = 6.5; Q(0, slow) = 1 + 0.5·2 = 2.
@@ -190,7 +192,7 @@ TEST(QValues, GreedyPolicyTiesToSmallestIndex) {
 }
 
 TEST(PolicyIteration, MatchesValueIteration) {
-  const Mdp mdp = two_route_mdp();
+  const CompiledModel mdp = compile(two_route_mdp());
   for (const Objective objective :
        {Objective::kMaximize, Objective::kMinimize}) {
     const SolveResult vi =
@@ -213,7 +215,7 @@ TEST(PolicyIteration, HandlesSingleChoiceModels) {
   mdp.add_choice(1, "stay", {Transition{1, 1.0}});
   mdp.set_state_reward(1, 1.0);
   const SolveResult pi =
-      policy_iteration_discounted(mdp, 0.9, Objective::kMaximize);
+      policy_iteration_discounted(compile(mdp), 0.9, Objective::kMaximize);
   EXPECT_TRUE(pi.converged);
   EXPECT_NEAR(pi.values[1], 10.0, 1e-9);
   EXPECT_NEAR(pi.values[0], 9.0, 1e-9);
@@ -222,12 +224,13 @@ TEST(PolicyIteration, HandlesSingleChoiceModels) {
 TEST(PolicyIteration, RejectsBadDiscount) {
   Mdp mdp(1);
   mdp.add_choice(0, "stay", {Transition{0, 1.0}});
-  EXPECT_THROW(policy_iteration_discounted(mdp, 1.2, Objective::kMaximize),
-               Error);
+  EXPECT_THROW(
+      policy_iteration_discounted(compile(mdp), 1.2, Objective::kMaximize),
+      Error);
 }
 
 TEST(PolicyEvaluation, MatchesValueIteration) {
-  const Mdp mdp = two_route_mdp();
+  const CompiledModel mdp = compile(two_route_mdp());
   const SolveResult vi =
       value_iteration_discounted(mdp, 0.8, Objective::kMaximize);
   const std::vector<double> eval =

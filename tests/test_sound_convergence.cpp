@@ -1,8 +1,9 @@
-// Regression test pinning down WHY the interval engine is the default:
-// a chain of slowly-mixing SCCs on which classic value iteration's
-// `delta < eps` stopping rule triggers while the iterate is still more than
-// 1e-2 away from the true value. The sound engine refuses to stop there and
-// returns a certified bracket around the exact answer.
+// Regression test pinning down WHY unbounded reachability uses sound
+// interval iteration: a chain of slowly-mixing SCCs on which a classic
+// `delta < eps` stopping rule triggers while the iterate is still ~1.5e-2
+// away from the true value (four orders of magnitude above the tolerance
+// it claims). The sound engine refuses to stop there and returns a
+// certified bracket around the exact answer.
 //
 // The model is K gambler's-ruin random walks (m states each, p = 1/2 up and
 // down) chained one-directionally: falling off the bottom of any walk hits
@@ -58,7 +59,7 @@ Mdp slow_chain() {
   return mdp;
 }
 
-TEST(SoundConvergence, ClassicStopLiesIntervalDoesNot) {
+TEST(SoundConvergence, BracketContainsExactValueOnSlowChain) {
   const CompiledModel model = compile(slow_chain());
   StateSet targets(model.num_states());
   targets.set(kGoal);
@@ -77,23 +78,6 @@ TEST(SoundConvergence, ClassicStopLiesIntervalDoesNot) {
   opts.tolerance = 1e-6;
   opts.max_iterations = 5'000'000;
 
-  // Classic VI "converges" (delta < eps) far from the truth. The observed
-  // shortfall is ~1.5e-2 — four orders of magnitude above the tolerance
-  // that the stopping rule claims to enforce.
-  opts.method = SolveMethod::kValueIteration;
-  const std::vector<double> classic =
-      mdp_reachability(model, targets, Objective::kMaximize, opts);
-  const double classic_error = std::abs(classic[start] - exact_d);
-  EXPECT_GE(classic_error, 1e-2)
-      << "classic VI got closer than this test assumes; if the engine "
-         "changed, re-tune kWalkLength";
-
-  // Topological VI sweeps the same unsound rule per block.
-  opts.method = SolveMethod::kTopological;
-  const std::vector<double> topo =
-      mdp_reachability(model, targets, Objective::kMaximize, opts);
-  EXPECT_GE(std::abs(topo[start] - exact_d), 1e-3);
-
   // The sound engine keeps sweeping until the BRACKET closes, so its
   // midpoint is within tolerance of the exact value, and the certified
   // bounds genuinely contain it.
@@ -106,7 +90,7 @@ TEST(SoundConvergence, ClassicStopLiesIntervalDoesNot) {
   EXPECT_TRUE(BigRational::from_double(bracket.lo[start]) <= exact + slack);
   EXPECT_TRUE(exact <= BigRational::from_double(bracket.hi[start]) + slack);
 
-  // And the plain reachability entry point defaults to the sound engine.
+  // The plain reachability entry point reports the same certified midpoint.
   const std::vector<double> default_values =
       mdp_reachability(model, targets, Objective::kMaximize,
                        SolverOptions{.tolerance = 1e-6,

@@ -59,7 +59,8 @@ TEST_F(WsnTest, BaseExpectedAttemptsClosedForm) {
 TEST_F(WsnTest, OptimalRouteGoesThroughN32) {
   const StateSet delivered = mdp_.states_with_label("delivered");
   const Policy policy =
-      total_reward_to_target(mdp_, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp_), delivered, Objective::kMinimize)
+          .policy;
   const StateId n33 = mdp_.state_by_name("n33");
   const Choice& first_hop = mdp_.choices(n33)[policy.at(n33)];
   StateId hop = n33;
@@ -136,7 +137,8 @@ TEST_F(WsnTest, TraceGenerationReachesDelivery) {
 TEST_F(WsnTest, MleFromTracesRecoversAttempts) {
   const StateSet delivered = mdp_.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(mdp_, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp_), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = mdp_.induced_dtmc(routing);
   const TrajectoryDataset traces = generate_wsn_traces(mdp_, 300, 3);
   const WsnDataRepairSetup setup = wsn_data_repair_setup(mdp_, induced, traces);
@@ -149,7 +151,8 @@ TEST_F(WsnTest, MleFromTracesRecoversAttempts) {
 TEST_F(WsnTest, DataRepairSetupGroupsPartitionSteps) {
   const StateSet delivered = mdp_.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(mdp_, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp_), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = mdp_.induced_dtmc(routing);
   const TrajectoryDataset traces = generate_wsn_traces(mdp_, 100, 5);
   const WsnDataRepairSetup setup = wsn_data_repair_setup(mdp_, induced, traces);
@@ -165,7 +168,8 @@ TEST_F(WsnTest, DataRepairSetupGroupsPartitionSteps) {
 TEST_F(WsnTest, DataRepairReachesTightBound) {
   const StateSet delivered = mdp_.states_with_label("delivered");
   const Policy routing =
-      total_reward_to_target(mdp_, delivered, Objective::kMinimize).policy;
+      total_reward_to_target(compile(mdp_), delivered, Objective::kMinimize)
+          .policy;
   const Dtmc induced = mdp_.induced_dtmc(routing);
   const TrajectoryDataset traces = generate_wsn_traces(mdp_, 200, 42);
   const WsnDataRepairSetup setup = wsn_data_repair_setup(mdp_, induced, traces);

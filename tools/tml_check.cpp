@@ -2,13 +2,14 @@
 //
 //   tml_check <model.prism> "<pctl formula>" [--counterexample] [--dot]
 //             [--stats] [--quotient]
-//             [--method classic|topological|interval]
 //             [--param-order in|penalty|scc] [--timeout-ms N]
 //             [--session <traj-file>] [--session-pseudocount X]
 //
 // Loads a model written in the explicit single-module PRISM subset
 // (src/mdp/prism_parser.hpp), checks the formula, prints the verdict and
-// the measured value, and optionally:
+// the measured value (plus the certified [lo, hi] bracket of the sound
+// interval engine for top-level P=? [... U ...] / P=? [F ...] queries on
+// MDPs), and optionally:
 //   --counterexample   for violated P<=b / P<b [F ...] properties on
 //                      DTMCs, prints the strongest evidence paths;
 //   --dot              dumps the model as Graphviz DOT to stdout;
@@ -17,12 +18,6 @@
 //                      state elimination against the exact reachability
 //                      value on an induced DTMC) and prints the full
 //                      counter/timer registry as one JSON object;
-//   --method           selects the unbounded-reachability engine for MDP
-//                      queries: `classic` (flat value iteration, unsound
-//                      delta stop), `topological` (per-SCC sweeps), or
-//                      `interval` (default; sound certified-bracket
-//                      iteration — also prints the bracket for top-level
-//                      P[... U ...] / P[F ...] queries on MDPs).
 //   --param-order      selects the process-wide parametric state-elimination
 //                      order: `in` (naive ascending-id, whole chain),
 //                      `penalty` (dynamic penalty queue, whole chain), or
@@ -110,7 +105,6 @@ namespace {
 int usage() {
   std::cerr << "usage: tml_check <model.prism> \"<pctl formula>\" "
                "[--counterexample] [--dot] [--stats] [--quotient] "
-               "[--method classic|topological|interval] "
                "[--param-order in|penalty|scc] [--timeout-ms N] "
                "[--session <traj-file>] [--session-pseudocount X] "
                "[--journal <file>] [--resume] [--checkpoint-every N]\n"
@@ -155,11 +149,13 @@ class SigintGuard {
   struct sigaction previous_ {};
 };
 
-/// On budget exhaustion (or Ctrl-C) for a quantitative unbounded P query on
-/// an MDP, the interval engine's bracket — sound at every sweep boundary —
-/// is still a usable partial answer; print it before exiting 3.
-void print_partial_bracket(const PrismModel& model,
-                           const StateFormula& formula) {
+/// For a quantitative unbounded P query on an MDP, prints the interval
+/// engine's certified [lo, hi] bracket at the initial state: alongside the
+/// midpoint the checker reports, or — `partial` — after budget exhaustion
+/// (or Ctrl-C), where the bracket, sound at every sweep boundary, is still a
+/// usable answer and the stop reason is appended.
+void print_bracket(const PrismModel& model, const CompiledModel& compiled,
+                   const StateFormula& formula, bool partial) {
   if (model.type != PrismModel::Type::kMdp) return;
   if (formula.kind() != StateFormula::Kind::kProbQuery) return;
   const PathFormula& path = formula.path();
@@ -172,45 +168,19 @@ void print_partial_bracket(const PrismModel& model,
       formula.quantifier() && *formula.quantifier() == Quantifier::kMin
           ? Objective::kMinimize
           : Objective::kMaximize;
-  StateSet stay(model.mdp.num_states(), true);
-  if (path.kind() == PathFormula::Kind::kUntil) {
-    stay = satisfying_states(model.mdp, path.left());
-  }
-  const StateSet goal = satisfying_states(model.mdp, path.right());
+  const StateSet stay = path.kind() == PathFormula::Kind::kUntil
+                            ? satisfying_states(compiled, path.left())
+                            : StateSet(compiled.num_states(), true);
+  const StateSet goal = satisfying_states(compiled, path.right());
   const SolveResult bracket =
-      mdp_until_bracket(model.mdp, stay, goal, objective);
-  const StateId init = model.mdp.initial_state();
-  std::cout << "partial:  [" << bracket.lo[init] << ", " << bracket.hi[init]
-            << "] (width " << bracket.hi[init] - bracket.lo[init] << ", "
-            << bracket.iterations << " sweeps, "
-            << to_string(bracket.budget_stop) << ")\n";
-}
-
-/// For quantitative unbounded P queries on MDPs under the interval engine,
-/// prints the certified [lo, hi] bracket at the initial state alongside the
-/// midpoint the checker reports.
-void print_bracket(const PrismModel& model, const StateFormula& formula) {
-  if (model.type != PrismModel::Type::kMdp) return;
-  if (formula.kind() != StateFormula::Kind::kProbQuery) return;
-  const PathFormula& path = formula.path();
-  if (path.step_bound()) return;
-  const Objective objective =
-      formula.quantifier() && *formula.quantifier() == Quantifier::kMin
-          ? Objective::kMinimize
-          : Objective::kMaximize;
-  StateSet stay(model.mdp.num_states(), true);
-  if (path.kind() == PathFormula::Kind::kUntil) {
-    stay = satisfying_states(model.mdp, path.left());
-  } else if (path.kind() != PathFormula::Kind::kEventually) {
-    return;
-  }
-  const StateSet goal = satisfying_states(model.mdp, path.right());
-  const SolveResult bracket =
-      mdp_until_bracket(model.mdp, stay, goal, objective);
-  const StateId init = model.mdp.initial_state();
-  std::cout << "bracket:  [" << bracket.lo[init] << ", " << bracket.hi[init]
-            << "] (width " << bracket.hi[init] - bracket.lo[init] << ", "
-            << bracket.iterations << " sweeps)\n";
+      mdp_until_bracket(compiled, stay, goal, objective);
+  const StateId init = compiled.initial_state();
+  std::cout << (partial ? "partial" : "bracket") << ":  [" << bracket.lo[init]
+            << ", " << bracket.hi[init] << "] (width "
+            << bracket.hi[init] - bracket.lo[init] << ", "
+            << bracket.iterations << " sweeps";
+  if (partial) std::cout << ", " << to_string(bracket.budget_stop);
+  std::cout << ")\n";
 }
 
 /// Exercises the sampling and parametric engines on a DTMC induced from the
@@ -233,7 +203,8 @@ void corroborate(const PrismModel& model) {
   StateSet targets(n, false);
   targets[probe] = true;
 
-  const double exact = dtmc_reachability(chain, targets)[chain.initial_state()];
+  const double exact =
+      dtmc_reachability(compile(chain), targets)[chain.initial_state()];
 
   const ParametricDtmc parametric = ParametricDtmc::from_dtmc(chain);
   const RationalFunction closed_form =
@@ -408,17 +379,6 @@ int main(int argc, char** argv) {
       want_stats = true;
     } else if (flag == "--quotient") {
       want_quotient = true;
-    } else if (flag == "--method" && i + 1 < argc) {
-      const std::string method = argv[++i];
-      if (method == "classic") {
-        set_default_solve_method(SolveMethod::kValueIteration);
-      } else if (method == "topological") {
-        set_default_solve_method(SolveMethod::kTopological);
-      } else if (method == "interval") {
-        set_default_solve_method(SolveMethod::kIntervalTopological);
-      } else {
-        return usage();
-      }
     } else if (flag == "--param-order" && i + 1 < argc) {
       const std::string order = argv[++i];
       EliminationOptions options;
@@ -500,6 +460,7 @@ int main(int argc, char** argv) {
       std::cout << "stats:\n" << stats_to_json() << "\n";
     };
 
+    const CompiledModel compiled = compile(model.mdp);
     CheckResult result;
     try {
       if (want_quotient) {
@@ -508,7 +469,7 @@ int main(int argc, char** argv) {
         // already carries the --timeout-ms deadline and the SIGINT token.
         CheckOptions options;
         options.quotient = true;
-        result = check(compile(model.mdp), *formula, options);
+        result = check(compiled, *formula, options);
         if (result.quotient_states > 0) {
           std::cout << "quotient: " << model.mdp.num_states() << " states -> "
                     << result.quotient_states << " blocks\n";
@@ -517,7 +478,7 @@ int main(int argc, char** argv) {
                        "unquotiented model\n";
         }
       } else {
-        result = check(model.mdp, *formula);
+        result = check(compiled, *formula);
       }
     } catch (const BudgetExhausted& e) {
       std::cerr << "tml_check: " << e.what() << "\n";
@@ -525,14 +486,12 @@ int main(int argc, char** argv) {
       // throwing: even with the budget already spent it returns the
       // graph-certified initial bounds (prob0/prob1 run before numerics
       // and are not budgeted), refined by however many sweeps fit.
-      print_partial_bracket(model, *formula);
+      print_bracket(model, compiled, *formula, /*partial=*/true);
       return 3;
     }
     if (formula->is_quantitative()) {
       std::cout << "value:    " << *result.value << "\n";
-      if (default_solve_method() == SolveMethod::kIntervalTopological) {
-        print_bracket(model, *formula);
-      }
+      print_bracket(model, compiled, *formula, /*partial=*/false);
       emit_stats();
       return 0;
     }
