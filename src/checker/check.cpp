@@ -1,6 +1,8 @@
 #include "src/checker/check.hpp"
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "src/checker/reachability.hpp"
 #include "src/common/stats.hpp"
@@ -17,6 +19,8 @@ Objective resolve_objective(const StateFormula& formula) {
     return *formula.quantifier() == Quantifier::kMax ? Objective::kMaximize
                                                      : Objective::kMinimize;
   }
+  // An unquantified query (`P=?` on an MDP) asks for the maximum.
+  if (formula.is_quantitative()) return Objective::kMaximize;
   // PRISM resolution for bounded operators on MDPs: an upper bound must hold
   // for the worst (maximizing) scheduler, a lower bound for the minimizing
   // one.
@@ -36,11 +40,23 @@ Objective flip(Objective objective) {
                                            : Objective::kMaximize;
 }
 
+/// States whose value meets the bound of the boolean P/R operator
+/// `formula`.
+StateSet meets_bound(const std::vector<double>& values,
+                     const StateFormula& formula) {
+  StateSet out(values.size(), false);
+  for (StateId s = 0; s < values.size(); ++s) {
+    out[s] = compare(values[s], formula.comparison(), formula.bound());
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// Checker over the compiled CSR form. One class serves both model kinds. The
-// unbounded primitives dispatch on CompiledModel::deterministic(): DTMCs get
-// the exact linear-system engines, MDPs qualitative precomputation plus
-// sound interval iteration (P) or value iteration (R). The step-bounded and
+// Checker over the compiled CSR form — the one place that maps a formula to
+// an engine. One class serves both model kinds. The unbounded primitives
+// dispatch on CompiledModel::deterministic(): DTMCs get the exact
+// linear-system engines, MDPs qualitative precomputation plus sound
+// interval iteration (P) or value iteration (R). The step-bounded and
 // cumulative sweeps are shared: a DTMC row is a single choice.
 
 class Checker {
@@ -67,22 +83,9 @@ class Checker {
       case StateFormula::Kind::kImplies:
         return set_union(complement(sat(formula.operand(0))),
                          sat(formula.operand(1)));
-      case StateFormula::Kind::kProb: {
-        const std::vector<double> values = prob_values(formula);
-        StateSet out(n, false);
-        for (StateId s = 0; s < n; ++s) {
-          out[s] = compare(values[s], formula.comparison(), formula.bound());
-        }
-        return out;
-      }
-      case StateFormula::Kind::kReward: {
-        const std::vector<double> values = reward_values(formula);
-        StateSet out(n, false);
-        for (StateId s = 0; s < n; ++s) {
-          out[s] = compare(values[s], formula.comparison(), formula.bound());
-        }
-        return out;
-      }
+      case StateFormula::Kind::kProb:
+      case StateFormula::Kind::kReward:
+        return meets_bound(values(formula), formula);
       case StateFormula::Kind::kProbQuery:
       case StateFormula::Kind::kRewardQuery:
         throw Error(
@@ -92,18 +95,22 @@ class Checker {
     throw Error("satisfying_states: unhandled formula kind");
   }
 
-  std::vector<double> values(const StateFormula& formula) {
-    switch (formula.kind()) {
-      case StateFormula::Kind::kProb:
-      case StateFormula::Kind::kProbQuery:
-        return prob_values(formula);
-      case StateFormula::Kind::kReward:
-      case StateFormula::Kind::kRewardQuery:
-        return reward_values(formula);
-      default:
-        throw Error("quantitative_values: formula is not a P/R operator: " +
-                    formula.to_string());
+  /// Per-state values of the P/R operator `formula`. `bracket`, non-null
+  /// only for the top-level operator, receives the engine's certified
+  /// initial-state bracket where the engine has one (left empty otherwise).
+  std::vector<double> values(const StateFormula& formula,
+                             std::optional<Bracket>* bracket = nullptr) {
+    const StateFormula::Kind kind = formula.kind();
+    const bool prob = kind == StateFormula::Kind::kProb ||
+                      kind == StateFormula::Kind::kProbQuery;
+    if (!prob && kind != StateFormula::Kind::kReward &&
+        kind != StateFormula::Kind::kRewardQuery) {
+      throw Error("quantitative_values: formula is not a P/R operator: " +
+                  formula.to_string());
     }
+    const Objective objective = resolve_objective(formula);
+    return prob ? prob_values(formula.path(), objective, bracket)
+                : reward_values(formula, objective);
   }
 
  private:
@@ -116,10 +123,36 @@ class Checker {
     return solver;
   }
 
+  /// Unbounded P[stay U goal]. On an MDP the values are the interval
+  /// engine's clamped bracket midpoints; `bracket` (when non-null) receives
+  /// the initial-state [lo, hi], mirrored to [1−hi, 1−lo] when the caller
+  /// reports 1 − value (`mirror`, for G). A budget stop throws
+  /// BudgetExhausted carrying that same bracket.
   std::vector<double> until(const StateSet& stay, const StateSet& goal,
-                            Objective objective) {
+                            Objective objective,
+                            std::optional<Bracket>* bracket,
+                            bool mirror = false) {
     if (model_.deterministic()) return dtmc_until(model_, stay, goal);
-    return mdp_until(model_, stay, goal, objective, solver_options());
+    SolveResult result =
+        mdp_until_bracket(model_, stay, goal, objective, solver_options());
+    const StateId init = model_.initial_state();
+    Bracket reached{result.lo[init], result.hi[init], result.iterations};
+    if (mirror) reached = {1.0 - reached.hi, 1.0 - reached.lo, reached.sweeps};
+    require_finished(result, "mdp_until_bracket",
+                     bracket ? std::optional(reached) : std::nullopt);
+    if (bracket != nullptr) *bracket = reached;
+    return std::move(result.values);
+  }
+
+  /// Throws BudgetExhausted, carrying `bracket`, when the solve behind
+  /// `result` stopped on the budget rather than converging.
+  static void require_finished(const SolveResult& result, const char* engine,
+                               std::optional<Bracket> bracket = std::nullopt) {
+    if (result.budget_status != BudgetStatus::kBudgetExhausted) return;
+    throw BudgetExhausted(std::string(engine) + ": budget exhausted (" +
+                              to_string(result.budget_stop) + ") after " +
+                              std::to_string(result.iterations) + " sweeps",
+                          result.budget_stop, bracket);
   }
 
   std::vector<double> bounded_until(const StateSet& stay, const StateSet& goal,
@@ -159,8 +192,10 @@ class Checker {
 
   std::vector<double> reach_reward(const StateSet& goal, Objective objective) {
     if (model_.deterministic()) return dtmc_total_reward(model_, goal);
-    return total_reward_to_target(model_, goal, objective, solver_options())
-        .values;
+    SolveResult result =
+        total_reward_to_target(model_, goal, objective, solver_options());
+    require_finished(result, "total_reward_to_target");
+    return std::move(result.values);
   }
 
   std::vector<double> cumulative_reward(std::size_t horizon,
@@ -169,31 +204,21 @@ class Checker {
                                  &options_.budget);
   }
 
-  std::vector<double> prob_values(const StateFormula& formula) {
-    const Objective objective = formula.kind() == StateFormula::Kind::kProb
-                                    ? resolve_objective(formula)
-                                    : (formula.quantifier() == Quantifier::kMin
-                                           ? Objective::kMinimize
-                                           : Objective::kMaximize);
-    const PathFormula& path = formula.path();
+  std::vector<double> prob_values(const PathFormula& path, Objective objective,
+                                  std::optional<Bracket>* bracket) {
     switch (path.kind()) {
       case PathFormula::Kind::kNext:
         return next(sat(path.right()), objective);
-      case PathFormula::Kind::kUntil: {
-        const StateSet stay = sat(path.left());
-        const StateSet goal = sat(path.right());
-        if (path.step_bound()) {
-          return bounded_until(stay, goal, *path.step_bound(), objective);
-        }
-        return until(stay, goal, objective);
-      }
+      case PathFormula::Kind::kUntil:
       case PathFormula::Kind::kEventually: {
-        const StateSet stay(model_.num_states(), true);
+        const StateSet stay = path.kind() == PathFormula::Kind::kUntil
+                                  ? sat(path.left())
+                                  : StateSet(model_.num_states(), true);
         const StateSet goal = sat(path.right());
         if (path.step_bound()) {
           return bounded_until(stay, goal, *path.step_bound(), objective);
         }
-        return until(stay, goal, objective);
+        return until(stay, goal, objective, bracket);
       }
       case PathFormula::Kind::kGlobally: {
         // P(G φ) = 1 − P(F ¬φ), with the scheduler direction flipped.
@@ -202,7 +227,7 @@ class Checker {
         std::vector<double> reach =
             path.step_bound()
                 ? bounded_until(stay, bad, *path.step_bound(), flip(objective))
-                : until(stay, bad, flip(objective));
+                : until(stay, bad, flip(objective), bracket, /*mirror=*/true);
         for (double& v : reach) v = 1.0 - v;
         return reach;
       }
@@ -210,12 +235,8 @@ class Checker {
     throw Error("prob_values: unhandled path formula kind");
   }
 
-  std::vector<double> reward_values(const StateFormula& formula) {
-    const Objective objective = formula.kind() == StateFormula::Kind::kReward
-                                    ? resolve_objective(formula)
-                                    : (formula.quantifier() == Quantifier::kMin
-                                           ? Objective::kMinimize
-                                           : Objective::kMaximize);
+  std::vector<double> reward_values(const StateFormula& formula,
+                                    Objective objective) {
     if (formula.reward_path_kind() ==
         StateFormula::RewardPathKind::kReachability) {
       return reach_reward(sat(formula.reward_target()), objective);
@@ -228,33 +249,59 @@ class Checker {
 };
 
 /// One check against one concrete model (no quotient pass). Factored out of
-/// check_impl so the quotient path can run the solvers on the minimized
+/// check() so the quotient path can run the solvers on the minimized
 /// model without double-counting the checker.* stats.
 CheckResult check_direct(const CompiledModel& model,
                          const StateFormula& formula,
                          const CheckOptions& options) {
   Checker checker(model, options);
   CheckResult result;
+  const StateId init = model.initial_state();
+  if (!formula.is_quantitative() &&
+      formula.kind() != StateFormula::Kind::kProb &&
+      formula.kind() != StateFormula::Kind::kReward) {
+    result.sat_states = checker.sat(formula);
+    result.satisfied = result.sat_states[init];
+    return result;
+  }
+  // A top-level P/R operator is solved once: its value, its bracket and,
+  // for P⋈b/R⋈b, its satisfaction set all read the same vector.
+  result.values = checker.values(formula, &result.bracket);
+  result.value = result.values[init];
   if (formula.is_quantitative()) {
-    result.values = checker.values(formula);
-    result.value = result.values[model.initial_state()];
     // A quantitative query has no boolean verdict; report "satisfied" as
     // true so pipelines that only look at values don't misread it.
     result.satisfied = true;
     return result;
   }
-  result.sat_states = checker.sat(formula);
-  result.satisfied = result.sat_states[model.initial_state()];
-  if (formula.kind() == StateFormula::Kind::kProb ||
-      formula.kind() == StateFormula::Kind::kReward) {
-    result.values = checker.values(formula);
-    result.value = result.values[model.initial_state()];
-  }
+  result.sat_states = meets_bound(result.values, formula);
+  result.satisfied = result.sat_states[init];
   return result;
 }
 
-CheckResult check_impl(const CompiledModel& model, const StateFormula& formula,
-                       const CheckOptions& options = {}) {
+}  // namespace
+
+StateSet satisfying_states(const CompiledModel& model,
+                           const StateFormula& formula) {
+  return Checker(model).sat(formula);
+}
+
+StateSet satisfying_states(const Dtmc& chain, const StateFormula& formula) {
+  return satisfying_states(compile(chain), formula);
+}
+
+std::vector<double> quantitative_values(const CompiledModel& model,
+                                        const StateFormula& formula) {
+  return Checker(model).values(formula);
+}
+
+std::vector<double> quantitative_values(const Dtmc& chain,
+                                        const StateFormula& formula) {
+  return quantitative_values(compile(chain), formula);
+}
+
+CheckResult check(const CompiledModel& model, const StateFormula& formula,
+                  const CheckOptions& options) {
   static stats::Timer& t_check = stats::timer("checker.check.time");
   static stats::Counter& c_checks = stats::counter("checker.checks");
   const stats::ScopedTimer span(t_check);
@@ -266,8 +313,8 @@ CheckResult check_impl(const CompiledModel& model, const StateFormula& formula,
     if (q.complete) {
       CheckResult result = check_direct(q.quotient, formula, options);
       // Lift every per-state channel back to the original state space. The
-      // initial-state verdict/value need no translation: the quotient's
-      // initial state is the block of the original initial state.
+      // initial-state verdict/value/bracket need no translation: the
+      // quotient's initial state is the block of the original initial state.
       if (!result.values.empty()) {
         result.values = lift_values(q.state_map, result.values);
       }
@@ -284,51 +331,12 @@ CheckResult check_impl(const CompiledModel& model, const StateFormula& formula,
   return check_direct(model, formula, options);
 }
 
-}  // namespace
-
-StateSet satisfying_states(const CompiledModel& model,
-                           const StateFormula& formula) {
-  return Checker(model).sat(formula);
-}
-
-StateSet satisfying_states(const Dtmc& chain, const StateFormula& formula) {
-  return satisfying_states(compile(chain), formula);
-}
-
-StateSet satisfying_states(const Mdp& mdp, const StateFormula& formula) {
-  return satisfying_states(compile(mdp), formula);
-}
-
-std::vector<double> quantitative_values(const CompiledModel& model,
-                                        const StateFormula& formula) {
-  return Checker(model).values(formula);
-}
-
-std::vector<double> quantitative_values(const Dtmc& chain,
-                                        const StateFormula& formula) {
-  return quantitative_values(compile(chain), formula);
-}
-
-std::vector<double> quantitative_values(const Mdp& mdp,
-                                        const StateFormula& formula) {
-  return quantitative_values(compile(mdp), formula);
-}
-
-CheckResult check(const CompiledModel& model, const StateFormula& formula) {
-  return check_impl(model, formula);
-}
-
-CheckResult check(const CompiledModel& model, const StateFormula& formula,
-                  const CheckOptions& options) {
-  return check_impl(model, formula, options);
-}
-
 CheckResult check(const Dtmc& chain, const StateFormula& formula) {
-  return check_impl(compile(chain), formula);
+  return check(compile(chain), formula);
 }
 
 CheckResult check(const Mdp& mdp, const StateFormula& formula) {
-  return check_impl(compile(mdp), formula);
+  return check(compile(mdp), formula);
 }
 
 CheckResult check(const Dtmc& chain, const std::string& formula_text) {

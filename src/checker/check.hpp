@@ -14,6 +14,11 @@
 // (>, >=) against the minimizing one. Explicit `Pmax`/`Pmin`/`Rmax`/`Rmin`
 // override that resolution.
 //
+// This module alone maps a formula to an engine. check() solves a top-level
+// P/R operator once and reads value, verdict and (unbounded MDP P) the
+// certified CheckResult::bracket off that solve; a budget stop throws
+// BudgetExhausted carrying the bracket reached so far.
+//
 // Reward operators follow PRISM semantics: `R[F φ]` is the expected reward
 // accumulated *before* entering a φ-state, and paths that never reach φ
 // carry infinite reward (so e.g. `R<=40 [F goal]` fails wherever the goal
@@ -29,7 +34,7 @@
 
 namespace tml {
 
-/// Per-call knobs for check(). The plain overloads pick up the process-wide
+/// Per-call knobs for check(). Default options pick up the process-wide
 /// default_budget() — fine for a CLI run, but racy for a server handling
 /// concurrent requests with different deadlines; such callers pass an
 /// explicit CheckOptions instead. The budget and thread count are threaded
@@ -51,13 +56,12 @@ struct CheckOptions {
 };
 
 /// Set of states satisfying a boolean PCTL formula. Throws for quantitative
-/// (`=?`) formulas — those have no satisfaction set. The Dtmc/Mdp overloads
-/// compile and delegate; checking several formulas against one model is
+/// (`=?`) formulas — those have no satisfaction set. The Dtmc overload
+/// compiles and delegates; checking several formulas against one model is
 /// cheaper through a single compiled form.
 StateSet satisfying_states(const CompiledModel& model,
                            const StateFormula& formula);
 StateSet satisfying_states(const Dtmc& chain, const StateFormula& formula);
-StateSet satisfying_states(const Mdp& mdp, const StateFormula& formula);
 
 /// Per-state numeric values of the outermost P/R operator of `formula`
 /// (which must be kProb/kProbQuery/kReward/kRewardQuery). For a boolean
@@ -66,15 +70,13 @@ std::vector<double> quantitative_values(const CompiledModel& model,
                                         const StateFormula& formula);
 std::vector<double> quantitative_values(const Dtmc& chain,
                                         const StateFormula& formula);
-std::vector<double> quantitative_values(const Mdp& mdp,
-                                        const StateFormula& formula);
 
 /// Full check against the model's initial state; fills both the boolean
-/// verdict (for boolean formulas) and the measured value when the top-level
-/// node is a P/R operator.
-CheckResult check(const CompiledModel& model, const StateFormula& formula);
+/// verdict (for boolean formulas) and the measured value — plus its
+/// certified bracket where the engine has one — when the top-level node is
+/// a P/R operator.
 CheckResult check(const CompiledModel& model, const StateFormula& formula,
-                  const CheckOptions& options);
+                  const CheckOptions& options = {});
 CheckResult check(const Dtmc& chain, const StateFormula& formula);
 CheckResult check(const Mdp& mdp, const StateFormula& formula);
 

@@ -629,13 +629,6 @@ std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
   return dtmc_reachability(absorb_escape_states(model, stay, goal), goal);
 }
 
-std::vector<double> mdp_until(const CompiledModel& model, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options) {
-  return mdp_reachability(absorb_escape_states(model, stay, goal), goal,
-                          objective, options);
-}
-
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
                                           std::size_t horizon,
                                           Objective objective,

@@ -21,10 +21,10 @@
 // gracefully on exhaustion: they return the current certified lo/hi
 // bracket (sound at every sweep boundary by construction) flagged
 // `SolveResult::budget_status = kBudgetExhausted`. The plain-vector entry
-// points (mdp_reachability, mdp_until, the bounded/cumulative sweeps —
-// which take the budget as a trailing pointer, nullptr = default_budget())
-// have no channel for a flagged partial and throw the typed
-// `BudgetExhausted` error instead.
+// points (mdp_reachability, the bounded/cumulative sweeps — which take the
+// budget as a trailing pointer, nullptr = default_budget()) have no channel
+// for a flagged partial and throw the typed `BudgetExhausted` error
+// instead.
 
 #pragma once
 
@@ -70,11 +70,6 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
 /// the escape region absorbing and running linear-system reachability.
 std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
                                const StateSet& goal);
-
-/// Unbounded constrained reachability for MDPs.
-std::vector<double> mdp_until(const CompiledModel& model, const StateSet& stay,
-                              const StateSet& goal, Objective objective,
-                              const SolverOptions& options = {});
 
 /// Expected cumulative reward over the first `horizon` steps (DTMCs and
 /// MDPs alike; see mdp_bounded_until).

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/budget.hpp"
 #include "src/mdp/model.hpp"
 
 namespace tml {
@@ -17,12 +18,19 @@ namespace tml {
 /// and `values` the per-state vector. For boolean P/R operators at top
 /// level, the checker also fills `value`/`values` with the underlying
 /// measured quantity — the repair pipeline uses this to report "achieved vs
-/// required" (e.g. expected attempts = 41.2 vs bound 40).
+/// required" (e.g. expected attempts = 41.2 vs bound 40). Both come from
+/// one solve of the top-level operator; `sat_states` is read off `values`.
 struct CheckResult {
   bool satisfied = false;
   StateSet sat_states;
   std::optional<double> value;
   std::vector<double> values;
+  /// Certified `[lo, hi]` around `value` from the same solve: the interval
+  /// engine's initial-state bracket for a top-level unbounded P (F, U, and
+  /// G mirrored as [1−hi, 1−lo]; `=?` and `⋈b`) on an MDP. Empty where no
+  /// engine certifies one yet (DTMC, R, step-bounded, next). A budget stop
+  /// carries it on the thrown BudgetExhausted instead.
+  std::optional<Bracket> bracket;
   /// Number of states the solvers actually ran on when the check went
   /// through the bisimulation quotient (CheckOptions::quotient): the block
   /// count of the minimized model. 0 means the quotient pass was not used —

@@ -30,7 +30,8 @@
 //    partial answer available (certified lo/hi bracket, estimate with the
 //    confidence actually earned, best-feasible point so far);
 //  * thin entry points that can only return a plain vector throw the typed
-//    `BudgetExhausted` error.
+//    `BudgetExhausted` error, with the stopped solve's certified `Bracket`
+//    when it had one.
 //
 // Determinism contract (src/common/parallel.hpp). Iteration and evaluation
 // caps count deterministic units, so an iteration-capped budget stops at
@@ -44,8 +45,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/common/error.hpp"
@@ -132,16 +135,29 @@ struct Budget {
   Budget split(std::uint64_t n) const;
 };
 
+/// Certified enclosure `lo <= v <= hi` of a checked quantity at one state
+/// (the model's initial state), with the sweeps the engine spent on it.
+struct Bracket {
+  double lo = 0.0;
+  double hi = 1.0;
+  std::size_t sweeps = 0;
+};
+
 /// Thrown by thin entry points (plain-vector returns, parametric
-/// elimination) that cannot carry a flagged partial result.
+/// elimination) that cannot carry a flagged partial result. `bracket()` is
+/// the stopped solve's certified bracket where its engine has one (the
+/// checker's top-level unbounded MDP P), else empty.
 class BudgetExhausted : public Error {
  public:
-  BudgetExhausted(const std::string& what, BudgetStop stop)
-      : Error(what), stop_(stop) {}
+  BudgetExhausted(const std::string& what, BudgetStop stop,
+                  std::optional<Bracket> bracket = std::nullopt)
+      : Error(what), stop_(stop), bracket_(bracket) {}
   BudgetStop stop() const { return stop_; }
+  const std::optional<Bracket>& bracket() const { return bracket_; }
 
  private:
   BudgetStop stop_;
+  std::optional<Bracket> bracket_;
 };
 
 /// Process-wide default budget, picked up by every options struct whose

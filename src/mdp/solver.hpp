@@ -27,7 +27,7 @@ namespace tml {
 enum class Objective { kMaximize, kMinimize };
 
 /// Engine for unbounded reachability/until (mdp_reachability and everything
-/// layered on it: mdp_until, the PCTL checker). There is one: sound interval
+/// layered on it: mdp_until_bracket, the PCTL checker). There is one: sound interval
 /// iteration over the SCC condensation, which returns a certified bracket
 /// (SolveResult::lo/hi) containing the exact value up to floating-point
 /// rounding of the Bellman operator itself (see src/checker/reachability.hpp).

@@ -44,8 +44,9 @@ ModelCache::Result ModelCache::get(const std::string& source) {
   static stats::Counter& c_evictions = stats::counter("serve.cache.evictions");
 
   const std::uint64_t source_hash = fnv1a(source);
+  std::promise<std::shared_ptr<const CachedModel>> promise;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto src_it = sources_.find(source_hash);
     if (src_it != sources_.end() && src_it->second.source == source) {
       const auto entry_it = entries_.find(src_it->second.content_hash);
@@ -58,15 +59,37 @@ ModelCache::Result ModelCache::get(const std::string& source) {
       // The entry was evicted out from under its index row; fall through
       // to a recompile, which re-inserts both.
     }
+    const auto flight_it = in_flight_.find(source);
+    if (flight_it != in_flight_.end()) {
+      // Another request is compiling this source: wait for its entry (or
+      // rethrow its error) instead of compiling it again.
+      const auto pending = flight_it->second;
+      lock.unlock();
+      std::shared_ptr<const CachedModel> entry = pending.get();
+      lock.lock();
+      ++hits_;
+      c_hits.bump();
+      return {std::move(entry), true};
+    }
+    in_flight_.emplace(source, promise.get_future().share());
   }
 
   // Miss path: parse + compile outside the lock, so a slow compile never
-  // stalls concurrent fast-path hits. Two racing misses on the same source
-  // both compile; the second insert finds the entry already present and
-  // just re-links the index.
-  std::shared_ptr<const CachedModel> compiled = compile_entry(source);
+  // stalls concurrent fast-path hits.
+  std::shared_ptr<const CachedModel> compiled;
+  try {
+    compiled = compile_entry(source);
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      in_flight_.erase(source);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 
   const std::lock_guard<std::mutex> lock(mutex_);
+  in_flight_.erase(source);
   ++misses_;
   c_misses.bump();
   sources_[source_hash] = SourceKey{source, compiled->content_hash};
@@ -85,8 +108,10 @@ ModelCache::Result ModelCache::get(const std::string& source) {
     // Distinct source text, identical compiled artifact — reuse the cached
     // entry (and its warm graph caches) rather than the fresh compile.
     touch(entry_it->second);
+    promise.set_value(entry_it->second.model);
     return {entry_it->second.model, false};
   }
+  promise.set_value(compiled);
   if (capacity_ == 0) return {std::move(compiled), false};
   while (entries_.size() >= capacity_) {
     const std::uint64_t victim = lru_.back();

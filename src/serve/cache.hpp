@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -65,8 +66,10 @@ class ModelCache {
 
   /// Returns the compiled artifact for `source`, compiling on miss. Throws
   /// ParseError / ModelError for malformed sources (nothing is cached for
-  /// a throwing source). Thread-safe; concurrent misses on the same source
-  /// may compile redundantly but converge on one entry.
+  /// a throwing source). Thread-safe and single-flight: concurrent misses
+  /// on one source wait for a single compile and share its entry — or its
+  /// error — so misses() counts compiles. A request that waited on another
+  /// request's compile ran none of its own and counts as a hit.
   Result get(const std::string& source);
 
   std::size_t capacity() const { return capacity_; }
@@ -92,6 +95,10 @@ class ModelCache {
   std::list<std::uint64_t> lru_;  // content hashes, most recent first
   std::unordered_map<std::uint64_t, Entry> entries_;       // by content hash
   std::unordered_map<std::uint64_t, SourceKey> sources_;   // by source FNV
+  // Compiles in progress, by exact source text; racing misses wait here.
+  std::unordered_map<std::string,
+                     std::shared_future<std::shared_ptr<const CachedModel>>>
+      in_flight_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/checker/check.hpp"
-#include "src/checker/reachability.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/stats.hpp"
@@ -36,6 +35,10 @@ namespace {
 class LatencyWindow {
  public:
   void record(double ms) {
+    static stats::Gauge& g_p50 = stats::gauge("serve.latency_p50_ms");
+    static stats::Gauge& g_p99 = stats::gauge("serve.latency_p99_ms");
+    // The gauges are no-ops with stats off; skip the sort under the lock.
+    if (!stats::enabled()) return;
     const std::lock_guard<std::mutex> lock(mutex_);
     if (samples_.size() < kWindow) {
       samples_.push_back(ms);
@@ -45,8 +48,6 @@ class LatencyWindow {
     next_ = (next_ + 1) % kWindow;
     std::vector<double> sorted = samples_;
     std::sort(sorted.begin(), sorted.end());
-    static stats::Gauge& g_p50 = stats::gauge("serve.latency_p50_ms");
-    static stats::Gauge& g_p99 = stats::gauge("serve.latency_p99_ms");
     g_p50.set(quantile(sorted, 0.50));
     g_p99.set(quantile(sorted, 0.99));
   }
@@ -65,56 +66,6 @@ class LatencyWindow {
   std::vector<double> samples_;
   std::size_t next_ = 0;
 };
-
-/// Certified partial bracket at the initial state for an unbounded P query
-/// on an MDP — the graceful-degradation payload after a budget stop. The
-/// interval engine's bracket entry point degrades instead of throwing:
-/// even with the budget already spent it returns the graph-certified
-/// prob0/prob1 bounds, refined by however many sweeps fit before the stop.
-struct PartialBracket {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::size_t sweeps = 0;
-  BudgetStop stop = BudgetStop::kNone;
-};
-
-std::optional<PartialBracket> partial_bracket(const CompiledModel& model,
-                                              const StateFormula& formula,
-                                              const Budget& budget) {
-  if (model.deterministic()) return std::nullopt;
-  if (formula.kind() != StateFormula::Kind::kProbQuery &&
-      formula.kind() != StateFormula::Kind::kProb) {
-    return std::nullopt;
-  }
-  const PathFormula& path = formula.path();
-  if (path.step_bound()) return std::nullopt;
-  if (path.kind() != PathFormula::Kind::kUntil &&
-      path.kind() != PathFormula::Kind::kEventually) {
-    return std::nullopt;
-  }
-  try {
-    const Objective objective =
-        formula.quantifier() && *formula.quantifier() == Quantifier::kMin
-            ? Objective::kMinimize
-            : Objective::kMaximize;
-    StateSet stay(model.num_states(), true);
-    if (path.kind() == PathFormula::Kind::kUntil) {
-      stay = satisfying_states(model, path.left());
-    }
-    const StateSet goal = satisfying_states(model, path.right());
-    SolverOptions options;
-    options.budget = budget;
-    const SolveResult bracket =
-        mdp_until_bracket(model, stay, goal, objective, options);
-    const StateId init = model.initial_state();
-    return PartialBracket{bracket.lo[init], bracket.hi[init],
-                          bracket.iterations, bracket.budget_stop};
-  } catch (const Error&) {
-    // Operand evaluation can itself exhaust the budget; then there is no
-    // bracket to salvage and the partial response carries null bounds.
-    return std::nullopt;
-  }
-}
 
 /// Writes the whole buffer or reports failure — never a silent truncation.
 /// Loops on short writes and EINTR; MSG_NOSIGNAL (the fd also runs under an
@@ -261,9 +212,10 @@ Json::Object Server::Impl::run_check(const Request& request) {
     response["status"] = "partial";
     response["budget_status"] = "exhausted";
     response["budget_stop"] = to_string(e.stop());
-    const std::optional<PartialBracket> bracket =
-        partial_bracket(cached.entry->model, *formula, check_options.budget);
-    if (bracket) {
+    // The bracket the check's own solve had reached when it stopped; empty
+    // where the engine certifies none (DTMC, R, bounded operators) or an
+    // operand, not the top-level operator, ran out.
+    if (const std::optional<Bracket>& bracket = e.bracket()) {
       response["lo"] = bracket->lo;
       response["hi"] = bracket->hi;
       response["sweeps"] = bracket->sweeps;

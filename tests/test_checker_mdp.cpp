@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/checker/check.hpp"
+#include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
 
 namespace tml {
@@ -29,6 +30,20 @@ Mdp loop_mdp() {
   mdp.add_choice(0, "go", {Transition{1, 1.0}});
   mdp.add_choice(1, "stay", {Transition{1, 1.0}});
   mdp.add_label(1, "goal");
+  return mdp;
+}
+
+/// s0 and s1 form a genuine two-state SCC (Pmax[F goal] = 1/3 at s0), so
+/// the interval engine must sweep; s0's extra "quit" choice keeps the model
+/// an MDP.
+Mdp sweeping_mdp() {
+  Mdp mdp(4);
+  mdp.add_choice(0, "a", {Transition{1, 0.5}, Transition{2, 0.5}});
+  mdp.add_choice(0, "quit", {Transition{2, 1.0}});
+  mdp.add_choice(1, "b", {Transition{0, 0.5}, Transition{3, 0.5}});
+  mdp.add_choice(2, "stay", {Transition{2, 1.0}});
+  mdp.add_choice(3, "stay", {Transition{3, 1.0}});
+  mdp.add_label(3, "goal");
   return mdp;
 }
 
@@ -85,6 +100,61 @@ TEST(MdpChecker, GloballyDuality) {
   EXPECT_NEAR(*check(mdp, "Pmin=? [ G !\"trap\" ]").value, 0.5, 1e-9);
 }
 
+TEST(MdpChecker, BooleanOperatorSolvesOnceAndCarriesItsBracket) {
+  // P⋈b is solved once: the verdict, the measured value and the bracket
+  // all come from one interval solve, which costs exactly the sweeps of
+  // the matching =? query.
+  const CompiledModel model = compile(sweeping_mdp());
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
+  const stats::Counter& sweeps = stats::counter("checker.interval_sweeps");
+  const std::uint64_t start = sweeps.value();
+  const CheckResult query = check(model, *parse_pctl("Pmax=? [ F \"goal\" ]"));
+  const std::uint64_t query_cost = sweeps.value() - start;
+  const CheckResult verdict =
+      check(model, *parse_pctl("P<=0.99 [ F \"goal\" ]"));
+  const std::uint64_t verdict_cost = sweeps.value() - start - query_cost;
+  stats::set_enabled(was_enabled);
+
+  EXPECT_GT(query_cost, 0u);
+  EXPECT_EQ(verdict_cost, query_cost);
+  EXPECT_TRUE(verdict.satisfied);
+  EXPECT_EQ(*verdict.value, *query.value);
+  ASSERT_TRUE(query.bracket.has_value());
+  ASSERT_TRUE(verdict.bracket.has_value());
+  EXPECT_EQ(query.bracket->sweeps, query_cost);
+  EXPECT_EQ(verdict.bracket->sweeps, verdict_cost);
+  EXPECT_LE(verdict.bracket->lo, 1.0 / 3.0);
+  EXPECT_GE(verdict.bracket->hi, 1.0 / 3.0);
+  EXPECT_LE(verdict.bracket->lo, *verdict.value);
+  EXPECT_GE(verdict.bracket->hi, *verdict.value);
+}
+
+TEST(MdpChecker, BracketFollowsTheCheckedQuantity) {
+  const CompiledModel model = compile(sweeping_mdp());
+  // G is the mirrored reachability: Pmin(G ¬goal) = 1 − Pmax(F goal) = 2/3.
+  const CheckResult globally =
+      check(model, *parse_pctl("Pmin=? [ G !\"goal\" ]"));
+  ASSERT_TRUE(globally.bracket.has_value());
+  EXPECT_LE(globally.bracket->lo, 2.0 / 3.0);
+  EXPECT_GE(globally.bracket->hi, 2.0 / 3.0);
+  EXPECT_LE(globally.bracket->lo, *globally.value);
+  EXPECT_GE(globally.bracket->hi, *globally.value);
+  // P>=b resolves to Pmin, here 0 (the "quit" choice), pinned by graph
+  // analysis — not Pmax's 1/3.
+  const CheckResult lower = check(model, *parse_pctl("P>=0.2 [ F \"goal\" ]"));
+  ASSERT_TRUE(lower.bracket.has_value());
+  EXPECT_FALSE(lower.satisfied);
+  EXPECT_EQ(lower.bracket->lo, 0.0);
+  EXPECT_EQ(lower.bracket->hi, 0.0);
+  // No engine certifies step-bounded or reward brackets yet.
+  EXPECT_FALSE(check(model, *parse_pctl("Pmax=? [ F<=3 \"goal\" ]"))
+                   .bracket.has_value());
+  EXPECT_FALSE(
+      check(compile(choice_mdp()), *parse_pctl("Pmax=? [ X \"goal\" ]"))
+          .bracket.has_value());
+}
+
 TEST(MdpChecker, RewardMinMax) {
   Mdp mdp(3);
   mdp.add_choice(0, "cheap", {Transition{1, 1.0}}, 1.0);
@@ -99,6 +169,26 @@ TEST(MdpChecker, RewardMinMax) {
   // Unquantified upper bound resolves to Rmax.
   EXPECT_FALSE(check(mdp, "R<=3 [ F \"goal\" ]").satisfied);
   EXPECT_TRUE(check(mdp, "R<=12 [ F \"goal\" ]").satisfied);
+}
+
+TEST(MdpChecker, ExhaustedRewardSolveThrowsInsteadOfReturningItsIterate) {
+  // A stopped R[F] value iteration holds no sound answer (its iterate is
+  // still the initial 0), so check() must report the stop, not a value.
+  Mdp mdp(2);
+  mdp.add_choice(0, "go", {Transition{1, 1.0}}, 1.0);
+  mdp.add_choice(0, "wait", {Transition{0, 0.5}, Transition{1, 0.5}}, 1.0);
+  mdp.add_choice(1, "stay", {Transition{1, 1.0}});
+  mdp.add_label(1, "goal");
+  CheckOptions options;
+  options.budget = Budget{};  // own token: the default budget's is shared
+  options.budget.cancel.cancel();
+  try {
+    check(compile(mdp), *parse_pctl("Rmin=? [ F \"goal\" ]"), options);
+    FAIL() << "a cancelled R[F] check must throw BudgetExhausted";
+  } catch (const BudgetExhausted& e) {
+    EXPECT_EQ(e.stop(), BudgetStop::kCancelled);
+    EXPECT_FALSE(e.bracket().has_value());
+  }
 }
 
 TEST(MdpChecker, RewardInfiniteCases) {

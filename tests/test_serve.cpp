@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/casestudies/generator.hpp"
 #include "src/checker/check.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/common/budget.hpp"
@@ -87,6 +88,22 @@ module m
   [stay3] s=3 -> 1:(s'=3);
 endmodule
 label "goal" = (s=3);
+)";
+
+// Pmin and Pmax of F "goal" differ at s0: Pmax = 1 (action a, pinned by
+// graph analysis), Pmin = 1/3 (action b, through the s0/s1 SCC, which needs
+// numeric sweeps). A budget-stopped P>=b check must report a bracket around
+// Pmin, the quantity it compares.
+const char kSplitMdpSource[] = R"(mdp
+module m
+  s : [0..3] init 0;
+  [a] s=0 -> 1:(s'=2);
+  [b] s=0 -> 0.5:(s'=1) + 0.25:(s'=2) + 0.25:(s'=3);
+  [c] s=1 -> 0.5:(s'=0) + 0.5:(s'=3);
+  [g] s=2 -> 1:(s'=2);
+  [f] s=3 -> 1:(s'=3);
+endmodule
+label "goal" = (s=2);
 )";
 
 std::string escape_for_json(const std::string& s) {
@@ -431,6 +448,65 @@ TEST(ModelCache, MalformedSourceThrowsAndCachesNothing) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+/// Runs `get(source)` on `threads` threads released together, so every
+/// call arrives while the first compile of a large source is still running.
+/// Returns how many calls threw ParseError; `entries` gets the rest.
+int racing_gets(ModelCache& cache, const std::string& source, int threads,
+                std::vector<std::shared_ptr<const CachedModel>>* entries) {
+  std::atomic<int> ready{0};
+  std::atomic<int> parse_errors{0};
+  entries->assign(threads, nullptr);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      try {
+        (*entries)[t] = cache.get(source).entry;
+      } catch (const ParseError&) {
+        parse_errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  return parse_errors.load();
+}
+
+std::string large_grid_source() {
+  GeneratorSpec spec;
+  spec.family = GeneratorFamily::kGridRobot;
+  spec.size = 40;
+  return generate_prism(spec);
+}
+
+TEST(ModelCache, ConcurrentMissesCompileOnce) {
+  ModelCache cache(4);
+  constexpr int kThreads = 6;
+  std::vector<std::shared_ptr<const CachedModel>> entries;
+  EXPECT_EQ(racing_gets(cache, large_grid_source(), kThreads, &entries), 0);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), kThreads - 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  for (const auto& entry : entries) {
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry.get(), entries.front().get());
+  }
+}
+
+TEST(ModelCache, ConcurrentMissesShareACompileError) {
+  // Valid up to a trailing line the parser rejects only after the grid.
+  ModelCache cache(4);
+  constexpr int kThreads = 6;
+  std::vector<std::shared_ptr<const CachedModel>> entries;
+  EXPECT_EQ(racing_gets(cache, large_grid_source() + "\n@@@\n", kThreads,
+                        &entries),
+            kThreads);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  // Nothing of the failed flight lingers: the next request compiles anew.
+  EXPECT_FALSE(cache.get(kDtmcSource).hit);
+}
+
 // ---------------------------------------------------------------------------
 // Request handling, socket-free via Server::handle_line.
 
@@ -569,13 +645,40 @@ TEST_F(ServeTest, DeadlineExhaustionReturnsCertifiedPartialBracket) {
   EXPECT_NEAR(exact.find("value")->as_number(), 1.0 / 3.0, 1e-6);
 }
 
+TEST_F(ServeTest, DeadlinePartialBracketsTheCheckedQuantity) {
+  fault::arm("budget.clock", "skew=86400000000000");
+  serve::Server server(serve::ServeOptions{});
+  const Json bounded = Json::parse(server.handle_line(
+      check_request(kSplitMdpSource, "P>=0.6 [ F \"goal\" ]", 12, 1000)));
+  const Json globally = Json::parse(server.handle_line(
+      check_request(kSplitMdpSource, "P=? [ G !\"goal\" ]", 13, 1000)));
+  fault::disarm_all();
+
+  // P>=b compares Pmin = 1/3, so the partial must bracket 1/3 — not the
+  // graph-pinned Pmax = 1.
+  EXPECT_EQ(bounded.find("status")->as_string(), "partial");
+  ASSERT_TRUE(bounded.find("lo")->is_number());
+  ASSERT_TRUE(bounded.find("hi")->is_number());
+  EXPECT_LE(bounded.find("lo")->as_number(), 1.0 / 3.0);
+  EXPECT_GE(bounded.find("hi")->as_number(), 1.0 / 3.0);
+
+  // P=? [G ψ] on an MDP is the mirrored reachability 1 − Pmin(F ¬ψ) = 2/3,
+  // and its partial carries that bracket too.
+  EXPECT_EQ(globally.find("status")->as_string(), "partial");
+  ASSERT_TRUE(globally.find("lo")->is_number());
+  ASSERT_TRUE(globally.find("hi")->is_number());
+  EXPECT_LE(globally.find("lo")->as_number(), 2.0 / 3.0);
+  EXPECT_GE(globally.find("hi")->as_number(), 2.0 / 3.0);
+}
+
 TEST_F(ServeTest, ProgrammaticCancelDegradesToCertifiedPartialBracket) {
   // tml_check's cancel → partial-bracket → exit-3 contract, with the token
   // armed programmatically: the same relaxed store through
   // CancelToken::raw_flag() its SIGINT handler performs. The thin check()
   // entry point must throw BudgetExhausted(kCancelled) — tml_check maps any
-  // BudgetExhausted to exit 3 — and the bracket entry point it falls back
-  // on must degrade to a flagged certified partial instead of throwing too.
+  // BudgetExhausted to exit 3 — carrying the bracket its solve reached, and
+  // the bracket entry point itself must degrade to a flagged certified
+  // partial instead of throwing.
   const PrismModel parsed = parse_prism(kHardMdpSource);
   const CompiledModel model = compile(parsed.mdp);
   const StateFormulaPtr formula = parse_pctl("Pmax=? [ F \"goal\" ]");
@@ -590,6 +693,10 @@ TEST_F(ServeTest, ProgrammaticCancelDegradesToCertifiedPartialBracket) {
     FAIL() << "a cancelled check() must throw BudgetExhausted";
   } catch (const BudgetExhausted& e) {
     EXPECT_EQ(e.stop(), BudgetStop::kCancelled);
+    // The exception carries the bracket the check's own solve reached.
+    ASSERT_TRUE(e.bracket().has_value());
+    EXPECT_LE(e.bracket()->lo, 1.0 / 3.0);
+    EXPECT_GE(e.bracket()->hi, 1.0 / 3.0);
   }
 
   StateSet stay(model.num_states(), true);

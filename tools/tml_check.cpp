@@ -7,9 +7,9 @@
 //
 // Loads a model written in the explicit single-module PRISM subset
 // (src/mdp/prism_parser.hpp), checks the formula, prints the verdict and
-// the measured value (plus the certified [lo, hi] bracket of the sound
-// interval engine for top-level P=? [... U ...] / P=? [F ...] queries on
-// MDPs), and optionally:
+// the measured value (plus the certified [lo, hi] bracket the same solve
+// produced, for top-level unbounded P operators — F, U, G; `=?` and `⋈b`
+// — on MDPs), and optionally:
 //   --counterexample   for violated P<=b / P<b [F ...] properties on
 //                      DTMCs, prints the strongest evidence paths;
 //   --dot              dumps the model as Graphviz DOT to stdout;
@@ -69,8 +69,9 @@
 //
 // Exit code: 0 when the property is satisfied (or the query is
 // quantitative), 1 when violated, 2 on usage/parse errors, 3 when the
-// budget (or Ctrl-C) fired before a verdict — when the interval engine can
-// still certify a partial [lo, hi] bracket it is printed before exiting.
+// budget (or Ctrl-C) fired before a verdict — when the stopped solve was a
+// top-level unbounded P on an MDP, the partial [lo, hi] bracket it had
+// reached is printed before exiting.
 
 #include <signal.h>
 #include <unistd.h>
@@ -87,7 +88,6 @@
 
 #include "src/checker/check.hpp"
 #include "src/checker/counterexample.hpp"
-#include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/stats.hpp"
 #include "src/core/repair_session.hpp"
@@ -149,37 +149,19 @@ class SigintGuard {
   struct sigaction previous_ {};
 };
 
-/// For a quantitative unbounded P query on an MDP, prints the interval
-/// engine's certified [lo, hi] bracket at the initial state: alongside the
-/// midpoint the checker reports, or — `partial` — after budget exhaustion
-/// (or Ctrl-C), where the bracket, sound at every sweep boundary, is still a
-/// usable answer and the stop reason is appended.
-void print_bracket(const PrismModel& model, const CompiledModel& compiled,
-                   const StateFormula& formula, bool partial) {
-  if (model.type != PrismModel::Type::kMdp) return;
-  if (formula.kind() != StateFormula::Kind::kProbQuery) return;
-  const PathFormula& path = formula.path();
-  if (path.step_bound()) return;
-  if (path.kind() != PathFormula::Kind::kUntil &&
-      path.kind() != PathFormula::Kind::kEventually) {
-    return;
-  }
-  const Objective objective =
-      formula.quantifier() && *formula.quantifier() == Quantifier::kMin
-          ? Objective::kMinimize
-          : Objective::kMaximize;
-  const StateSet stay = path.kind() == PathFormula::Kind::kUntil
-                            ? satisfying_states(compiled, path.left())
-                            : StateSet(compiled.num_states(), true);
-  const StateSet goal = satisfying_states(compiled, path.right());
-  const SolveResult bracket =
-      mdp_until_bracket(compiled, stay, goal, objective);
-  const StateId init = compiled.initial_state();
-  std::cout << (partial ? "partial" : "bracket") << ":  [" << bracket.lo[init]
-            << ", " << bracket.hi[init] << "] (width "
-            << bracket.hi[init] - bracket.lo[init] << ", "
-            << bracket.iterations << " sweeps";
-  if (partial) std::cout << ", " << to_string(bracket.budget_stop);
+/// Prints the certified initial-state [lo, hi] bracket the check's own
+/// solve produced (CheckResult::bracket), or — with a budget `stop` — the
+/// bracket it had reached when the budget (or Ctrl-C) stopped it
+/// (BudgetExhausted::bracket), sound at every sweep boundary and so still a
+/// usable answer. Prints nothing where the engine certifies no bracket.
+void print_bracket(const std::optional<Bracket>& bracket,
+                   BudgetStop stop = BudgetStop::kNone) {
+  if (!bracket) return;
+  const bool partial = stop != BudgetStop::kNone;
+  std::cout << (partial ? "partial" : "bracket") << ":  [" << bracket->lo
+            << ", " << bracket->hi << "] (width " << bracket->hi - bracket->lo
+            << ", " << bracket->sweeps << " sweeps";
+  if (partial) std::cout << ", " << to_string(stop);
   std::cout << ")\n";
 }
 
@@ -460,38 +442,28 @@ int main(int argc, char** argv) {
       std::cout << "stats:\n" << stats_to_json() << "\n";
     };
 
-    const CompiledModel compiled = compile(model.mdp);
     CheckResult result;
     try {
-      if (want_quotient) {
-        // The plain overload reads default_budget() too, but the quotient
-        // path needs explicit options to set the flag; the budget default
-        // already carries the --timeout-ms deadline and the SIGINT token.
-        CheckOptions options;
-        options.quotient = true;
-        result = check(compiled, *formula, options);
-        if (result.quotient_states > 0) {
-          std::cout << "quotient: " << model.mdp.num_states() << " states -> "
-                    << result.quotient_states << " blocks\n";
-        } else {
-          std::cout << "quotient: refinement hit the budget; checked the "
-                       "unquotiented model\n";
-        }
-      } else {
-        result = check(compiled, *formula);
+      // Default options read default_budget(), which already carries the
+      // --timeout-ms deadline and the SIGINT token.
+      CheckOptions options;
+      options.quotient = want_quotient;
+      result = check(compile(model.mdp), *formula, options);
+      if (result.quotient_states > 0) {
+        std::cout << "quotient: " << model.mdp.num_states() << " states -> "
+                  << result.quotient_states << " blocks\n";
+      } else if (want_quotient) {
+        std::cout << "quotient: refinement hit the budget; checked the "
+                     "unquotiented model\n";
       }
     } catch (const BudgetExhausted& e) {
       std::cerr << "tml_check: " << e.what() << "\n";
-      // The interval engine's bracket entry point degrades instead of
-      // throwing: even with the budget already spent it returns the
-      // graph-certified initial bounds (prob0/prob1 run before numerics
-      // and are not budgeted), refined by however many sweeps fit.
-      print_bracket(model, compiled, *formula, /*partial=*/true);
+      print_bracket(e.bracket(), e.stop());
       return 3;
     }
     if (formula->is_quantitative()) {
       std::cout << "value:    " << *result.value << "\n";
-      print_bracket(model, compiled, *formula, /*partial=*/false);
+      print_bracket(result.bracket);
       emit_stats();
       return 0;
     }
@@ -500,6 +472,7 @@ int main(int argc, char** argv) {
     if (result.value) {
       std::cout << "measured: " << *result.value << "\n";
     }
+    print_bracket(result.bracket);
 
     if (!result.satisfied && want_counterexample &&
         model.type == PrismModel::Type::kDtmc &&
