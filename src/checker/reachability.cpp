@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/common/fault.hpp"
 #include "src/common/parallel.hpp"
@@ -39,39 +40,16 @@ double checked_gap(double gap) {
 /// Restricts an until problem to a plain reachability problem: states in
 /// neither `stay` nor `goal` are made absorbing (they can never contribute),
 /// then P[F goal] on the modified model equals P[stay U goal] on the
-/// original.
-CompiledModel absorb_escape_states(const CompiledModel& model,
-                                   const StateSet& stay,
-                                   const StateSet& goal) {
+/// original. Empty when no state escapes (every F and G query): the caller
+/// then solves its own model and keeps its cached predecessor/SCC
+/// structure.
+std::optional<CompiledModel> absorb_escape_states(const CompiledModel& model,
+                                                  const StateSet& stay,
+                                                  const StateSet& goal) {
   StateSet escape = set_union(stay, goal);
   escape.flip();
+  if (escape.none()) return std::nullopt;
   return model.make_absorbing(escape);
-}
-
-/// Probability-0 / probability-1 regions for the given objective, pinned by
-/// graph analysis before any numerics run.
-struct Prob01 {
-  StateSet zero;
-  StateSet one;
-};
-
-Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
-                    Objective objective) {
-  Prob01 sets;
-  if (objective == Objective::kMaximize) {
-    sets.zero = complement(reachable_existential(model, targets));
-    sets.one = prob1_existential(model, targets);
-  } else {
-    sets.zero = avoid_certain(model, targets);
-    sets.one = prob1_universal(model, targets);
-  }
-  if (stats::enabled()) {  // skip the popcounts entirely when disabled
-    static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");
-    static stats::Gauge& g_one = stats::gauge("checker.prob1.states");
-    g_zero.set(static_cast<double>(count(sets.zero)));
-    g_one.set(static_cast<double>(count(sets.one)));
-  }
-  return sets;
 }
 
 // ---- warm starts ----------------------------------------------------------
@@ -150,7 +128,7 @@ void record_scc_count(std::size_t blocks) {
 /// successor values: with self-loop mass a_c and external inflow
 /// b_c = Σ_{t≠s} p(t|s,c)·v(t) per choice, the fixpoint of choice c is
 /// b_c / (1 - a_c). Pure self-loop choices (a_c = 1) never advance the state
-/// and are skipped: a Pmin state owning one would be in avoid_certain
+/// and are skipped: a Pmin state owning one would be in the Pmin zero set
 /// (pinned 0), and for Pmax such a choice yields value 0 from here on, which
 /// never beats a competing exit and equals the a-priori 0 fallback otherwise.
 double solve_single_state(const CompiledModel& model, StateId s,
@@ -251,7 +229,7 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
   //    exact the moment the external values are.
   // Pmin needs neither: an end component among the unknown states would let
   // a scheduler avoid the target forever, so its states would already be
-  // pinned by avoid_certain.
+  // pinned by the Pmin zero set.
   struct MecExit {
     double p_out = 0.0;  ///< total probability mass leaving the MEC
     std::vector<std::pair<StateId, double>> external;  ///< targets outside
@@ -564,8 +542,9 @@ SolveResult mdp_reachability_bracket(const CompiledModel& model,
 SolveResult mdp_until_bracket(const CompiledModel& model, const StateSet& stay,
                               const StateSet& goal, Objective objective,
                               const SolverOptions& options) {
-  return mdp_reachability_bracket(absorb_escape_states(model, stay, goal),
-                                  goal, objective, options);
+  const auto absorbed = absorb_escape_states(model, stay, goal);
+  return mdp_reachability_bracket(absorbed ? *absorbed : model, goal,
+                                  objective, options);
 }
 
 std::vector<double> mdp_bounded_until(const CompiledModel& model,
@@ -626,7 +605,8 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
 
 std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
                                const StateSet& goal) {
-  return dtmc_reachability(absorb_escape_states(model, stay, goal), goal);
+  const auto absorbed = absorb_escape_states(model, stay, goal);
+  return dtmc_reachability(absorbed ? *absorbed : model, goal);
 }
 
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,

@@ -55,24 +55,28 @@ struct CertainSets {
 
 CertainSets certain_sets(const CompiledModel& model, const PathFormula& path,
                          const StateSet& left_sat, const StateSet& right_sat) {
+  // The P(F T) = 0 sets of a chain: one choice per state, so either
+  // objective gives the same sets.
+  constexpr Objective kAny = Objective::kMinimize;
   CertainSets sets;
   switch (path.kind()) {
     case PathFormula::Kind::kNext:
       break;
     case PathFormula::Kind::kEventually:
-      sets.no = dtmc_prob0(model, right_sat);
+      sets.no = reach_prob01(model, right_sat, kAny).zero;
       break;
     case PathFormula::Kind::kUntil: {
       // P0 of (stay U goal): escape states are made absorbing first, so
       // "cannot reach goal" is judged within the stay region.
       StateSet escape = set_union(left_sat, right_sat);
       escape.flip();
-      sets.no = dtmc_prob0(model.make_absorbing(escape), right_sat);
+      sets.no =
+          reach_prob01(model.make_absorbing(escape), right_sat, kAny).zero;
       break;
     }
     case PathFormula::Kind::kGlobally:
       // Satisfaction is certain once no ¬φ state is reachable any more.
-      sets.yes = dtmc_prob0(model, complement(right_sat));
+      sets.yes = reach_prob01(model, complement(right_sat), kAny).zero;
       break;
   }
   return sets;

@@ -9,8 +9,8 @@
 // samples, the estimate p̂ satisfies P(|p̂ − p| > ε) < δ. Bounded
 // operators are decided exactly per sample. Unbounded F/U/G walk until the
 // path is *decided*: reaching the goal (or violating the stay region)
-// decides immediately, and a graph precomputation (dtmc_prob0 on the
-// relevant submodel) decides paths that enter a region from which the
+// decides immediately, and a graph precomputation (the reach_prob01 zero
+// set on the relevant submodel) decides paths that enter a region from which the
 // outcome is certain — the trap states that used to burn the whole
 // `max_steps` budget. A path still undecided at `max_steps` is counted in
 // `SmcResult::truncated`; when the truncation rate exceeds

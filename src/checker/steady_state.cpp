@@ -7,116 +7,26 @@
 
 namespace tml {
 
-namespace {
-
-/// Iterative Tarjan SCC (explicit stack; recursion depth would otherwise
-/// track the longest chain path).
-struct TarjanState {
-  std::vector<int> index;
-  std::vector<int> lowlink;
-  std::vector<bool> on_stack;
-  std::vector<StateId> stack;
-  int next_index = 0;
-  std::vector<std::vector<StateId>> components;
-};
-
-void tarjan(const CompiledModel& model, TarjanState& st, StateId root) {
-  struct Frame {
-    StateId state;
-    std::uint32_t edge;
-  };
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  std::vector<Frame> call_stack{{root, choice_start[root]}};
-  st.index[root] = st.lowlink[root] = st.next_index++;
-  st.stack.push_back(root);
-  st.on_stack[root] = true;
-
-  while (!call_stack.empty()) {
-    Frame& frame = call_stack.back();
-    const std::uint32_t row_end = choice_start[frame.state + 1];
-    bool descended = false;
-    while (frame.edge < row_end) {
-      const std::uint32_t k = frame.edge;
-      ++frame.edge;
-      if (prob[k] <= 0.0) continue;
-      const StateId succ = target[k];
-      if (st.index[succ] < 0) {
-        st.index[succ] = st.lowlink[succ] = st.next_index++;
-        st.stack.push_back(succ);
-        st.on_stack[succ] = true;
-        call_stack.push_back(Frame{succ, choice_start[succ]});
-        descended = true;
-        break;
-      }
-      if (st.on_stack[succ]) {
-        st.lowlink[frame.state] =
-            std::min(st.lowlink[frame.state], st.index[succ]);
-      }
-    }
-    if (descended) continue;
-    // Frame finished.
-    const StateId v = frame.state;
-    call_stack.pop_back();
-    if (!call_stack.empty()) {
-      const StateId parent = call_stack.back().state;
-      st.lowlink[parent] = std::min(st.lowlink[parent], st.lowlink[v]);
-    }
-    if (st.lowlink[v] == st.index[v]) {
-      std::vector<StateId> component;
-      while (true) {
-        const StateId w = st.stack.back();
-        st.stack.pop_back();
-        st.on_stack[w] = false;
-        component.push_back(w);
-        if (w == v) break;
-      }
-      std::sort(component.begin(), component.end());
-      st.components.push_back(std::move(component));
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<std::vector<StateId>> bottom_sccs(const CompiledModel& model) {
   TML_REQUIRE(model.deterministic(),
               "bottom_sccs: compiled model is not a DTMC");
-  const std::size_t n = model.num_states();
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  TarjanState st;
-  st.index.assign(n, -1);
-  st.lowlink.assign(n, -1);
-  st.on_stack.assign(n, false);
-  for (StateId s = 0; s < n; ++s) {
-    if (st.index[s] < 0) tarjan(model, st, s);
-  }
-
-  // A component is bottom iff no member has a positive edge leaving it.
+  const SccDecomposition& scc = model.scc();
+  // A block is bottom iff no member has a positive edge leaving it.
   std::vector<std::vector<StateId>> bottoms;
-  for (const auto& component : st.components) {
-    bool closed = true;
-    for (StateId s : component) {
+  for (std::uint32_t b = 0; b < scc.num_blocks(); ++b) {
+    const auto block = scc.block(b);
+    const bool closed = std::all_of(block.begin(), block.end(), [&](StateId s) {
       for (std::uint32_t k = choice_start[s]; k < choice_start[s + 1]; ++k) {
-        if (prob[k] > 0.0 &&
-            !std::binary_search(component.begin(), component.end(),
-                                target[k])) {
-          closed = false;
-          break;
-        }
+        if (prob[k] > 0.0 && scc.component[target[k]] != b) return false;
       }
-      if (!closed) break;
-    }
-    if (closed) bottoms.push_back(component);
+      return true;
+    });
+    if (closed) bottoms.emplace_back(block.begin(), block.end());
   }
   return bottoms;
-}
-
-std::vector<std::vector<StateId>> bottom_sccs(const Dtmc& chain) {
-  return bottom_sccs(compile(chain));
 }
 
 std::vector<double> stationary_distribution(
@@ -169,11 +79,6 @@ std::vector<double> stationary_distribution(
   return pi;
 }
 
-std::vector<double> stationary_distribution(
-    const Dtmc& chain, const std::vector<StateId>& component) {
-  return stationary_distribution(compile(chain), component);
-}
-
 std::vector<double> long_run_distribution(const CompiledModel& model) {
   const auto bottoms = bottom_sccs(model);
   std::vector<double> occupancy(model.num_states(), 0.0);
@@ -191,10 +96,6 @@ std::vector<double> long_run_distribution(const CompiledModel& model) {
   return occupancy;
 }
 
-std::vector<double> long_run_distribution(const Dtmc& chain) {
-  return long_run_distribution(compile(chain));
-}
-
 double long_run_probability(const CompiledModel& model,
                             const StateSet& states) {
   TML_REQUIRE(states.size() == model.num_states(),
@@ -205,10 +106,6 @@ double long_run_probability(const CompiledModel& model,
     if (states[s]) total += occupancy[s];
   }
   return total;
-}
-
-double long_run_probability(const Dtmc& chain, const StateSet& states) {
-  return long_run_probability(compile(chain), states);
 }
 
 }  // namespace tml

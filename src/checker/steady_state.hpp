@@ -5,14 +5,15 @@
 //
 //     S(φ) = Σ_{B ∈ BSCC} P(reach B) · π_B(Sat φ ∩ B),
 //
-// where the bottom strongly connected components (BSCCs) are found by
-// Tarjan's algorithm, each BSCC's stationary distribution π_B solves
+// where the bottom strongly connected components (BSCCs) are the closed
+// blocks of the model's cached SCC condensation (CompiledModel::scc()),
+// each BSCC's stationary distribution π_B solves
 // π_B P|_B = π_B with Σ π_B = 1, and the reach probabilities come from the
 // standard reachability engine. Useful for the WSN setting's long-run
 // questions (e.g. the long-run fraction of time a node spends ignoring).
 //
-// All analyses run on the compiled CSR form (which must be deterministic);
-// the Dtmc overloads compile once and delegate.
+// All analyses run on the compiled CSR form, which must be deterministic;
+// callers holding a builder Dtmc compile it once.
 
 #pragma once
 
@@ -23,26 +24,22 @@
 
 namespace tml {
 
-/// Bottom strongly connected components of the chain (each returned list
-/// is sorted by state id; components in discovery order).
+/// Bottom strongly connected components of the chain: the closed blocks of
+/// CompiledModel::scc(), each sorted by state id, in the condensation's
+/// block order (Tarjan emission order, roots tried in ascending state id).
 std::vector<std::vector<StateId>> bottom_sccs(const CompiledModel& model);
-std::vector<std::vector<StateId>> bottom_sccs(const Dtmc& chain);
 
 /// Stationary distribution of the chain restricted to one BSCC, indexed
 /// like `component`. Throws if the states do not form a closed recurrent
 /// class.
 std::vector<double> stationary_distribution(
     const CompiledModel& model, const std::vector<StateId>& component);
-std::vector<double> stationary_distribution(
-    const Dtmc& chain, const std::vector<StateId>& component);
 
 /// Per-state long-run occupancy from the chain's initial state:
 /// result[s] = long-run fraction of time spent in s.
 std::vector<double> long_run_distribution(const CompiledModel& model);
-std::vector<double> long_run_distribution(const Dtmc& chain);
 
 /// Long-run probability of the state set from the initial state.
 double long_run_probability(const CompiledModel& model, const StateSet& states);
-double long_run_probability(const Dtmc& chain, const StateSet& states);
 
 }  // namespace tml

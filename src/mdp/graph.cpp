@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <vector>
+
+#include "src/common/stats.hpp"
 
 namespace tml {
 
@@ -151,28 +154,59 @@ SccDecomposition tarjan_scc(const CompiledModel& model, const StateSet* allowed,
   return out;
 }
 
-/// Backward closure of `seeds` over the compiled model's cached predecessor
-/// structure. States in `blocked` (when provided) are never added: a path
-/// that must pass through a blocked state does not count. Used with
-/// blocked = targets to compute "can fail before reaching the target".
-StateSet backward_closure(const CompiledModel& model, const StateSet& seeds,
-                          const StateSet* blocked = nullptr) {
-  StateSet reached = seeds;
-  std::deque<StateId> queue;
-  for (StateId s = 0; s < seeds.size(); ++s) {
-    if (seeds[s]) queue.push_back(s);
+/// The graph layer's one fixpoint: the least superset of `set` closed under
+/// `joins(p, set)`, which must be monotone in `set`. A state outside the set
+/// is tested only when one of its successors has joined (through the cached
+/// predecessor lists, which hold positive-probability edges only), and joins
+/// at most once. Monotonicity makes the result independent of the test
+/// order, so it equals any index-order rescan of the same rule.
+template <typename Joins>
+StateSet backward_fixpoint(const CompiledModel& model, StateSet set,
+                           const Joins& joins) {
+  std::vector<StateId> work;
+  for (StateId s = 0; s < set.size(); ++s) {
+    if (set[s]) work.push_back(s);
   }
-  while (!queue.empty()) {
-    const StateId s = queue.front();
-    queue.pop_front();
+  while (!work.empty()) {
+    const StateId s = work.back();
+    work.pop_back();
     for (StateId p : model.predecessors(s)) {
-      if (!reached[p] && (blocked == nullptr || !(*blocked)[p])) {
-        reached[p] = true;
-        queue.push_back(p);
+      if (!set[p] && joins(p, set)) {
+        set[p] = true;
+        work.push_back(p);
       }
     }
   }
-  return reached;
+  return set;
+}
+
+/// Backward closure of `seeds` that never enters `blocked` (when given):
+/// a path that must pass through a blocked state does not count.
+StateSet backward_closure(const CompiledModel& model, const StateSet& seeds,
+                          const StateSet* blocked = nullptr) {
+  return backward_fixpoint(model, seeds, [&](StateId p, const StateSet&) {
+    return blocked == nullptr || !(*blocked)[p];
+  });
+}
+
+/// Does some positive edge of choice c land in `set`?
+bool choice_hits(const CompiledModel& model, std::uint32_t c,
+                 const StateSet& set) {
+  const auto& choice_start = model.choice_start();
+  for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+    if (model.prob()[k] > 0.0 && set[model.target()[k]]) return true;
+  }
+  return false;
+}
+
+/// Does every positive edge of choice c land in `set`?
+bool choice_inside(const CompiledModel& model, std::uint32_t c,
+                   const StateSet& set) {
+  const auto& choice_start = model.choice_start();
+  for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+    if (model.prob()[k] > 0.0 && !set[model.target()[k]]) return false;
+  }
+  return true;
 }
 
 void require_size(const CompiledModel& model, const StateSet& targets,
@@ -181,7 +215,46 @@ void require_size(const CompiledModel& model, const StateSet& targets,
               where << ": target set size mismatch");
 }
 
+/// States from which some scheduler stays out of T forever = { s :
+/// Pmin(F T)(s) = 0 }. Computed as the complement of its dual, the least
+/// set ⊇ T in which a state joins once every choice has a positive edge
+/// into the set (every compiled state has at least one choice).
+StateSet avoid_certain(const CompiledModel& model, const StateSet& targets) {
+  return complement(
+      backward_fixpoint(model, targets, [&](StateId p, const StateSet& set) {
+        for (std::uint32_t c = model.first_choice(p); c < model.last_choice(p);
+             ++c) {
+          if (!choice_hits(model, c, set)) return false;
+        }
+        return true;
+      }));
+}
+
 }  // namespace
+
+Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
+                    Objective objective) {
+  require_size(model, targets, "reach_prob01");
+  Prob01 sets;
+  if (objective == Objective::kMaximize && !model.deterministic()) {
+    sets.zero = complement(backward_closure(model, targets));
+    sets.one = prob1_existential(model, targets);
+  } else {
+    // Pmin(F T)(s) < 1 iff some scheduler reaches, with positive
+    // probability and WITHOUT passing through T, the region where T can be
+    // avoided forever. Target states themselves always count as
+    // probability 1.
+    sets.zero = avoid_certain(model, targets);
+    sets.one = complement(backward_closure(model, sets.zero, &targets));
+  }
+  if (stats::enabled()) {  // skip the popcounts entirely when disabled
+    static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");
+    static stats::Gauge& g_one = stats::gauge("checker.prob1.states");
+    g_zero.set(static_cast<double>(count(sets.zero)));
+    g_one.set(static_cast<double>(count(sets.one)));
+  }
+  return sets;
+}
 
 StateSet reachable_existential(const CompiledModel& model,
                                const StateSet& targets) {
@@ -189,110 +262,28 @@ StateSet reachable_existential(const CompiledModel& model,
   return backward_closure(model, targets);
 }
 
-StateSet avoid_certain(const CompiledModel& model, const StateSet& targets) {
-  require_size(model, targets, "avoid_certain");
-  const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  // Greatest fixpoint: start from S \ T, repeatedly remove states with no
-  // choice whose support stays inside the candidate set.
-  StateSet inside = complement(targets);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (StateId s = 0; s < n; ++s) {
-      if (!inside[s]) continue;
-      bool has_safe_choice = false;
-      for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-        bool all_inside = true;
-        for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-          if (prob[k] > 0.0 && !inside[target[k]]) {
-            all_inside = false;
-            break;
-          }
-        }
-        if (all_inside) {
-          has_safe_choice = true;
-          break;
-        }
-      }
-      if (!has_safe_choice) {
-        inside[s] = false;
-        changed = true;
-      }
-    }
-  }
-  return inside;
-}
-
 StateSet prob1_existential(const CompiledModel& model,
                            const StateSet& targets) {
   require_size(model, targets, "prob1_existential");
-  const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
   // de Alfaro's nested fixpoint. Outer: over-approximation u of Prob1E.
-  // Inner: states that can reach T via choices whose support stays in u.
-  StateSet u(n, true);
+  // Inner: states of u that can reach T via a choice whose support stays
+  // in u and hits the inner set.
+  StateSet u(model.num_states(), true);
   while (true) {
-    StateSet v = targets;
-    bool inner_changed = true;
-    while (inner_changed) {
-      inner_changed = false;
-      for (StateId s = 0; s < n; ++s) {
-        if (v[s] || !u[s]) continue;
-        for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-          bool support_in_u = true;
-          bool hits_v = false;
-          for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-               ++k) {
-            if (prob[k] <= 0.0) continue;
-            if (!u[target[k]]) support_in_u = false;
-            if (v[target[k]]) hits_v = true;
+    StateSet v =
+        backward_fixpoint(model, targets, [&](StateId p, const StateSet& in) {
+          if (!u[p]) return false;
+          for (std::uint32_t c = model.first_choice(p);
+               c < model.last_choice(p); ++c) {
+            if (choice_inside(model, c, u) && choice_hits(model, c, in)) {
+              return true;
+            }
           }
-          if (support_in_u && hits_v) {
-            v[s] = true;
-            inner_changed = true;
-            break;
-          }
-        }
-      }
-    }
+          return false;
+        });
     if (v == u) return u;
-    u = v;
+    u = std::move(v);
   }
-}
-
-StateSet prob1_universal(const CompiledModel& model, const StateSet& targets) {
-  require_size(model, targets, "prob1_universal");
-  // Pmin(F T)(s) < 1 iff some scheduler reaches, with positive probability
-  // and WITHOUT passing through T, the region where T can be avoided
-  // forever. Target states themselves always count as probability 1.
-  const StateSet avoid = avoid_certain(model, targets);
-  const StateSet can_escape = backward_closure(model, avoid, &targets);
-  return complement(can_escape);
-}
-
-StateSet dtmc_reach_positive(const CompiledModel& model,
-                             const StateSet& targets) {
-  require_size(model, targets, "dtmc_reach_positive");
-  return backward_closure(model, targets);
-}
-
-StateSet dtmc_prob0(const CompiledModel& model, const StateSet& targets) {
-  return complement(dtmc_reach_positive(model, targets));
-}
-
-StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets) {
-  const StateSet zero = dtmc_prob0(model, targets);
-  // P(F T)(s) = 1 iff s cannot reach a probability-0 state before passing
-  // through T (paths that hit T first have already succeeded).
-  const StateSet can_fail = backward_closure(model, zero, &targets);
-  return complement(can_fail);
 }
 
 StateSet forward_reachable(const CompiledModel& model, StateId from) {
@@ -383,45 +374,6 @@ std::vector<std::vector<StateId>> maximal_end_components(
   std::sort(mecs.begin(), mecs.end(),
             [](const auto& a, const auto& b) { return a.front() < b.front(); });
   return mecs;
-}
-
-// ---------------------------------------------------------------------------
-// Builder-facing wrappers: compile once, run the CSR kernel.
-
-StateSet reachable_existential(const Mdp& mdp, const StateSet& targets) {
-  return reachable_existential(compile(mdp), targets);
-}
-
-StateSet avoid_certain(const Mdp& mdp, const StateSet& targets) {
-  return avoid_certain(compile(mdp), targets);
-}
-
-StateSet prob1_existential(const Mdp& mdp, const StateSet& targets) {
-  return prob1_existential(compile(mdp), targets);
-}
-
-StateSet prob1_universal(const Mdp& mdp, const StateSet& targets) {
-  return prob1_universal(compile(mdp), targets);
-}
-
-StateSet dtmc_reach_positive(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_reach_positive(compile(chain), targets);
-}
-
-StateSet dtmc_prob0(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_prob0(compile(chain), targets);
-}
-
-StateSet dtmc_prob1(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_prob1(compile(chain), targets);
-}
-
-StateSet forward_reachable(const Mdp& mdp, StateId from) {
-  return forward_reachable(compile(mdp), from);
-}
-
-StateSet forward_reachable(const Dtmc& chain, StateId from) {
-  return forward_reachable(compile(chain), from);
 }
 
 }  // namespace tml

@@ -1,67 +1,52 @@
-// Qualitative graph analyses on MDPs and DTMCs.
+// Qualitative graph analyses on compiled models.
 //
 // These are the PRISM-style precomputations that make quantitative model
 // checking sound: they classify states where reachability probabilities are
 // exactly 0 or exactly 1 *for graph reasons*, before any numerics run.
 //
-// Naming (T is the target set):
-//  * reachable_existential(T): states from which SOME scheduler reaches T
-//    with positive probability (plain backward reachability over all edges).
-//    Complement = "Prob0A" (all schedulers give probability 0).
-//  * avoid_certain(T): states from which SOME scheduler avoids T forever
-//    with probability 1 (greatest fixpoint of "has a choice staying inside").
-//    This set is exactly { s : Pmin(F T)(s) = 0 }.
-//  * prob1_existential(T): { s : Pmax(F T)(s) = 1 } — the classic Prob1E
-//    nested fixpoint (de Alfaro).
-//  * prob1_universal(T):  { s : Pmin(F T)(s) = 1 } = complement of
-//    reachable_existential(avoid_certain(T)).
+// `reach_prob01` is the one entry point every engine calls. With T the
+// target set it returns, for the objective's optimum over schedulers,
+//  * kMaximize: zero = { s : Pmax(F T)(s) = 0 } (complement of
+//    reachable_existential), one = { s : Pmax(F T)(s) = 1 } (Prob1E, de
+//    Alfaro's nested fixpoint);
+//  * kMinimize: zero = { s : Pmin(F T)(s) = 0 } (some scheduler avoids T
+//    forever), one = { s : Pmin(F T)(s) = 1 } (Prob1A: no scheduler reaches
+//    the zero region without first passing through T).
+// One-choice models (DTMCs) take the kMinimize branch whatever the
+// objective: Pmax = Pmin there, the sets are equal, and it is the cheaper
+// branch.
 //
-// Every analysis is implemented once, over the compiled CSR form
-// (src/mdp/compiled.hpp) whose cached predecessor structure feeds all
-// backward closures; the Mdp/Dtmc overloads compile and delegate.
+// Every set comes from one backward worklist fixpoint over the model's
+// cached predecessor lists (CompiledModel::predecessors()): a state joins
+// at most once and is re-tested only when a successor has joined.
 
 #pragma once
 
 #include "src/mdp/compiled.hpp"
-#include "src/mdp/model.hpp"
+#include "src/mdp/solver.hpp"
 
 namespace tml {
+
+/// Probability-0 / probability-1 regions of F targets for one objective.
+struct Prob01 {
+  StateSet zero;
+  StateSet one;
+};
+
+/// The qualitative sets above. Records the checker.prob0.states /
+/// checker.prob1.states gauges when stats are on.
+Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
+                    Objective objective);
 
 /// States with a path (under some scheduler) of positive probability to T.
 StateSet reachable_existential(const CompiledModel& model,
                                const StateSet& targets);
-StateSet reachable_existential(const Mdp& mdp, const StateSet& targets);
 
-/// States from which some scheduler stays out of T forever (prob 1 avoid).
-/// Requires targets ∩ result = ∅ by construction.
-StateSet avoid_certain(const CompiledModel& model, const StateSet& targets);
-StateSet avoid_certain(const Mdp& mdp, const StateSet& targets);
-
-/// { s : Pmax(F T)(s) = 1 } (Prob1E).
+/// { s : Pmax(F T)(s) = 1 } (Prob1E); reach_prob01(kMaximize).one.
 StateSet prob1_existential(const CompiledModel& model, const StateSet& targets);
-StateSet prob1_existential(const Mdp& mdp, const StateSet& targets);
-
-/// { s : Pmin(F T)(s) = 1 } (Prob1A).
-StateSet prob1_universal(const CompiledModel& model, const StateSet& targets);
-StateSet prob1_universal(const Mdp& mdp, const StateSet& targets);
-
-/// DTMC: states that reach T with positive probability.
-StateSet dtmc_reach_positive(const CompiledModel& model,
-                             const StateSet& targets);
-StateSet dtmc_reach_positive(const Dtmc& chain, const StateSet& targets);
-
-/// DTMC: { s : P(F T)(s) = 0 }.
-StateSet dtmc_prob0(const CompiledModel& model, const StateSet& targets);
-StateSet dtmc_prob0(const Dtmc& chain, const StateSet& targets);
-
-/// DTMC: { s : P(F T)(s) = 1 }.
-StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets);
-StateSet dtmc_prob1(const Dtmc& chain, const StateSet& targets);
 
 /// States reachable (forward) from `from` in the model.
 StateSet forward_reachable(const CompiledModel& model, StateId from);
-StateSet forward_reachable(const Mdp& mdp, StateId from);
-StateSet forward_reachable(const Dtmc& chain, StateId from);
 
 /// SCC condensation over the positive-probability edges, blocks emitted in
 /// dependency order (successor blocks first — Tarjan's emission order; see

@@ -24,14 +24,6 @@ void record_vi_stats(std::size_t iterations, double last_delta) {
   g_delta.set(last_delta);
 }
 
-void record_prob01_stats(const StateSet& zero, const StateSet& one) {
-  if (!stats::enabled()) return;  // skip the popcounts entirely
-  static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");
-  static stats::Gauge& g_one = stats::gauge("checker.prob1.states");
-  g_zero.set(static_cast<double>(count(zero)));
-  g_one.set(static_cast<double>(count(one)));
-}
-
 /// Q-value of global choice c of state s over the CSR columns.
 double choice_q(const CompiledModel& m, StateId s, std::uint32_t c,
                 std::span<const double> values, double discount) {
@@ -213,11 +205,14 @@ SolveResult total_reward_to_target(const CompiledModel& model,
   const auto& row_start = model.row_start();
 
   // Finite-value region: Rmin needs some scheduler reaching almost surely
-  // (Prob1E); Rmax needs all schedulers reaching almost surely (Prob1A) —
-  // PRISM semantics, where a path missing the target carries infinite reward.
-  const StateSet finite = objective == Objective::kMinimize
-                              ? prob1_existential(model, targets)
-                              : prob1_universal(model, targets);
+  // (Prob1E, the Pmax one-set); Rmax needs all schedulers reaching almost
+  // surely (Prob1A, the Pmin one-set) — PRISM semantics, where a path
+  // missing the target carries infinite reward.
+  const StateSet finite =
+      reach_prob01(model, targets,
+                   objective == Objective::kMinimize ? Objective::kMaximize
+                                                     : Objective::kMinimize)
+          .one;
 
   SolveResult result;
   result.values.assign(n, 0.0);
@@ -366,7 +361,8 @@ std::vector<double> dtmc_total_reward(const CompiledModel& model,
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  const StateSet certain = dtmc_prob1(model, targets);
+  const StateSet certain =
+      reach_prob01(model, targets, Objective::kMinimize).one;
 
   // Unknowns: non-target states that reach the target almost surely. Such
   // states only transition into other almost-sure states, so the restricted
@@ -415,9 +411,7 @@ std::vector<double> dtmc_reachability(const CompiledModel& model,
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  const StateSet zero = dtmc_prob0(model, targets);
-  const StateSet one = dtmc_prob1(model, targets);
-  record_prob01_stats(zero, one);
+  const auto [zero, one] = reach_prob01(model, targets, Objective::kMinimize);
 
   std::vector<int> index(n, -1);
   std::vector<StateId> unknowns;

@@ -7,9 +7,10 @@
 //  * undiscounted expected total reward until absorption in a target set
 //    (stochastic shortest path), used by the WSN `R{attempts}` property.
 //
-// The PCTL-specific machinery (prob0/prob1 precomputation, bounded until,
-// min/max reward operators with qualitative preprocessing) lives in
-// src/checker; this module is the plain decision-theoretic layer.
+// The prob0/prob1 precomputation lives in src/mdp/graph (reach_prob01);
+// the PCTL-specific machinery (bounded until, until/reachability
+// operators) lives in src/checker; this module is the plain
+// decision-theoretic layer.
 
 #pragma once
 

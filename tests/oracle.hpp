@@ -158,14 +158,7 @@ inline std::vector<BigRational> exact_reachability(const CompiledModel& model,
   const auto& target = model.target();
   const auto& prob = model.prob();
 
-  StateSet zero, one;
-  if (objective == Objective::kMaximize) {
-    zero = complement(reachable_existential(model, targets));
-    one = prob1_existential(model, targets);
-  } else {
-    zero = avoid_certain(model, targets);
-    one = prob1_universal(model, targets);
-  }
+  const auto [zero, one] = reach_prob01(model, targets, objective);
 
   std::vector<std::uint32_t> choice_of(n);
   for (StateId s = 0; s < n; ++s) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/checker/check.hpp"
+#include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
 
 namespace tml {
@@ -181,6 +182,24 @@ TEST(DtmcChecker, ValuesVectorPerState) {
   EXPECT_NEAR(v[0], 0.3, 1e-12);
   EXPECT_NEAR(v[1], 1.0, 1e-12);
   EXPECT_NEAR(v[2], 0.0, 1e-12);
+}
+
+TEST(DtmcChecker, EventuallyReusesTheCallersGraphCaches) {
+  // P=? [ F goal ] leaves no escape state: the caller's compiled chain is
+  // solved as it stands and its cached predecessor lists are reused.
+  const CompiledModel model = compile(split_chain());
+  (void)model.predecessors(0);
+  (void)model.scc();
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
+  const stats::Counter& builds = stats::counter("compile.pred_builds");
+  const std::uint64_t start = builds.value();
+  const double p = *check(model, *parse_pctl("P=? [ F \"goal\" ]")).value;
+  const std::uint64_t after = builds.value();
+  stats::set_enabled(was_enabled);
+
+  EXPECT_NEAR(p, 0.3, 1e-12);
+  EXPECT_EQ(after, start);
 }
 
 TEST(DtmcChecker, InvalidModelRejected) {

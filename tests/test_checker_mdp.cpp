@@ -223,6 +223,34 @@ TEST(MdpChecker, UnboundedUntilWithRestriction) {
   EXPECT_NEAR(*check(mdp, "Pmax=? [ !\"bad\" U \"goal\" ]").value, 0.5, 1e-9);
 }
 
+TEST(MdpChecker, UnboundedQueriesReuseTheCallersGraphCaches) {
+  // F and G leave no escape state, so the engine solves the caller's model
+  // and reuses its cached predecessor lists instead of rebuilding them on an
+  // absorbing copy. An until with escape states still needs the copy.
+  const CompiledModel model = compile(choice_mdp());
+  (void)model.predecessors(0);
+  (void)model.scc();
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
+  const stats::Counter& builds = stats::counter("compile.pred_builds");
+  const std::uint64_t start = builds.value();
+  const double pmax = *check(model, *parse_pctl("Pmax=? [ F \"goal\" ]")).value;
+  const std::uint64_t after_f = builds.value();
+  const double g = *check(model, *parse_pctl("P=? [ G !\"trap\" ]")).value;
+  const std::uint64_t after_g = builds.value();
+  const double until =
+      *check(model, *parse_pctl("Pmin=? [ !\"trap\" U \"goal\" ]")).value;
+  const std::uint64_t after_until = builds.value();
+  stats::set_enabled(was_enabled);
+
+  EXPECT_NEAR(pmax, 1.0, 1e-9);
+  EXPECT_NEAR(g, 1.0, 1e-9);
+  EXPECT_NEAR(until, 0.5, 1e-9);
+  EXPECT_EQ(after_f, start);
+  EXPECT_EQ(after_g, start);
+  EXPECT_EQ(after_until, start + 1);
+}
+
 TEST(MdpChecker, DtmcAndMdpAgreeOnDegenerateMdp) {
   // A one-choice-per-state MDP must agree with its DTMC view.
   Dtmc chain(3);

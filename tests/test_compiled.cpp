@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "src/casestudies/generator.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/steady_state.hpp"
 #include "src/common/matrix.hpp"
@@ -539,42 +540,84 @@ TEST(Compiled, PredecessorsAreCompleteAndDeduped) {
 // ---------------------------------------------------------------------------
 // Qualitative sets.
 
+/// reach_prob01 on a chain: both objectives give the reference DTMC sets.
+void expect_dtmc_prob01_matches(const Dtmc& chain, const StateSet& targets,
+                                std::size_t trial) {
+  const CompiledModel model = compile(chain);
+  const StateSet zero = ref::dtmc_prob0(chain, targets);
+  const StateSet one = ref::dtmc_prob1(chain, targets);
+  for (Objective objective : {Objective::kMaximize, Objective::kMinimize}) {
+    const Prob01 got = reach_prob01(model, targets, objective);
+    expect_sets_equal(got.zero, zero, "prob0", trial);
+    expect_sets_equal(got.one, one, "prob1", trial);
+  }
+  expect_sets_equal(reachable_existential(model, targets), complement(zero),
+                    "reach+", trial);
+}
+
+/// reach_prob01 on an MDP against the rescanning references, per objective.
+void expect_mdp_prob01_matches(const Mdp& mdp, const StateSet& targets,
+                               std::size_t trial) {
+  const CompiledModel model = compile(mdp);
+  const Prob01 pmax = reach_prob01(model, targets, Objective::kMaximize);
+  expect_sets_equal(pmax.zero,
+                    complement(ref::reachable_existential(mdp, targets)),
+                    "Pmax zero", trial);
+  expect_sets_equal(pmax.one, ref::prob1_existential(mdp, targets),
+                    "Pmax one", trial);
+  const Prob01 pmin = reach_prob01(model, targets, Objective::kMinimize);
+  expect_sets_equal(pmin.zero, ref::avoid_certain(mdp, targets), "Pmin zero",
+                    trial);
+  expect_sets_equal(pmin.one, ref::prob1_universal(mdp, targets), "Pmin one",
+                    trial);
+  expect_sets_equal(reachable_existential(model, targets),
+                    ref::reachable_existential(mdp, targets),
+                    "reachable_existential", trial);
+  expect_sets_equal(prob1_existential(model, targets), pmax.one,
+                    "prob1_existential", trial);
+}
+
 TEST(Compiled, DtmcQualitativeSetsMatchReference) {
   Rng rng(21);
-  for (std::size_t trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 4 + rng.index(28);
+  for (std::size_t trial = 0; trial < 64; ++trial) {
+    const std::size_t n = 4 + rng.index(197);
     const Dtmc chain = random_dtmc(rng, n);
-    const StateSet targets = random_subset(rng, n, 0.25);
-    const CompiledModel model = compile(chain);
-    expect_sets_equal(dtmc_prob0(model, targets),
-                      ref::dtmc_prob0(chain, targets), "prob0", trial);
-    expect_sets_equal(dtmc_prob1(model, targets),
-                      ref::dtmc_prob1(chain, targets), "prob1", trial);
-    expect_sets_equal(
-        dtmc_reach_positive(model, targets),
-        complement(ref::dtmc_prob0(chain, targets)), "reach+", trial);
+    expect_dtmc_prob01_matches(chain, random_subset(rng, n, 0.25), trial);
+  }
+  // Queue meshes up to 14^2 states, toward both corners of the mesh.
+  for (std::size_t capacity = 2; capacity <= 13; ++capacity) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kQueueMesh;
+    spec.size = capacity;
+    spec.seed = capacity;
+    const Dtmc chain = generate_queue_mesh(spec);
+    expect_dtmc_prob01_matches(chain, chain.states_with_label("full"),
+                               capacity);
+    expect_dtmc_prob01_matches(chain, chain.states_with_label("empty"),
+                               capacity);
   }
 }
 
 TEST(Compiled, MdpQualitativeSetsMatchReference) {
   Rng rng(22);
-  for (std::size_t trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 4 + rng.index(24);
+  for (std::size_t trial = 0; trial < 64; ++trial) {
+    const std::size_t n = 4 + rng.index(197);
     const Mdp mdp = random_mdp(rng, n);
-    const StateSet targets = random_subset(rng, n, 0.25);
-    const CompiledModel model = compile(mdp);
-    expect_sets_equal(reachable_existential(model, targets),
-                      ref::reachable_existential(mdp, targets),
-                      "reachable_existential", trial);
-    expect_sets_equal(avoid_certain(model, targets),
-                      ref::avoid_certain(mdp, targets), "avoid_certain",
-                      trial);
-    expect_sets_equal(prob1_existential(model, targets),
-                      ref::prob1_existential(mdp, targets),
-                      "prob1_existential", trial);
-    expect_sets_equal(prob1_universal(model, targets),
-                      ref::prob1_universal(mdp, targets), "prob1_universal",
-                      trial);
+    expect_mdp_prob01_matches(mdp, random_subset(rng, n, 0.25), trial);
+  }
+  // Grid robots up to 14^2 states: the goal is the highest state index, the
+  // case where an index-order rescan advances about one row per pass.
+  for (std::size_t side = 3; side <= 14; ++side) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kGridRobot;
+    spec.size = side;
+    spec.seed = side;
+    spec.hazard_density = side % 2 == 0 ? 0.1 : 0.0;
+    const Mdp mdp = generate_grid_robot(spec);
+    const StateSet goal = mdp.states_with_label("goal");
+    ASSERT_TRUE(goal[mdp.num_states() - 1]) << "grid " << side;
+    expect_mdp_prob01_matches(mdp, goal, side);
+    expect_mdp_prob01_matches(mdp, mdp.states_with_label("hazard"), side);
   }
 }
 

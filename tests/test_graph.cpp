@@ -1,4 +1,5 @@
-// Unit tests for the qualitative graph precomputations (prob0/prob1).
+// Unit tests for the qualitative graph precomputations (prob0/prob1), run
+// on the compiled form through the reach_prob01 entry point.
 
 #include "src/mdp/graph.hpp"
 
@@ -25,9 +26,19 @@ Mdp trap_mdp() {
 
 StateSet goal_of(const Mdp& mdp) { return mdp.states_with_label("goal"); }
 
+/// One-choice models give the same sets for either objective.
+Prob01 dtmc_prob01(const Dtmc& chain, const StateSet& target) {
+  const CompiledModel model = compile(chain);
+  Prob01 sets = reach_prob01(model, target, Objective::kMaximize);
+  const Prob01 other = reach_prob01(model, target, Objective::kMinimize);
+  EXPECT_EQ(sets.zero, other.zero);
+  EXPECT_EQ(sets.one, other.one);
+  return sets;
+}
+
 TEST(Graph, ReachableExistential) {
   const Mdp mdp = trap_mdp();
-  const StateSet r = reachable_existential(mdp, goal_of(mdp));
+  const StateSet r = reachable_existential(compile(mdp), goal_of(mdp));
   EXPECT_TRUE(r[0]);   // choose a
   EXPECT_TRUE(r[1]);   // is goal
   EXPECT_FALSE(r[2]);  // trap
@@ -36,7 +47,8 @@ TEST(Graph, ReachableExistential) {
 
 TEST(Graph, AvoidCertain) {
   const Mdp mdp = trap_mdp();
-  const StateSet avoid = avoid_certain(mdp, goal_of(mdp));
+  const StateSet avoid =
+      reach_prob01(compile(mdp), goal_of(mdp), Objective::kMinimize).zero;
   EXPECT_TRUE(avoid[0]);   // choose b forever
   EXPECT_FALSE(avoid[1]);  // is the goal itself
   EXPECT_TRUE(avoid[2]);
@@ -45,7 +57,9 @@ TEST(Graph, AvoidCertain) {
 
 TEST(Graph, Prob1Existential) {
   const Mdp mdp = trap_mdp();
-  const StateSet p1 = prob1_existential(mdp, goal_of(mdp));
+  const StateSet p1 = prob1_existential(compile(mdp), goal_of(mdp));
+  EXPECT_EQ(p1,
+            reach_prob01(compile(mdp), goal_of(mdp), Objective::kMaximize).one);
   EXPECT_TRUE(p1[0]);   // action a reaches goal surely
   EXPECT_TRUE(p1[1]);
   EXPECT_FALSE(p1[2]);
@@ -54,7 +68,8 @@ TEST(Graph, Prob1Existential) {
 
 TEST(Graph, Prob1Universal) {
   const Mdp mdp = trap_mdp();
-  const StateSet p1 = prob1_universal(mdp, goal_of(mdp));
+  const StateSet p1 =
+      reach_prob01(compile(mdp), goal_of(mdp), Objective::kMinimize).one;
   EXPECT_FALSE(p1[0]);  // scheduler can pick b
   EXPECT_TRUE(p1[1]);
   EXPECT_FALSE(p1[2]);
@@ -69,7 +84,9 @@ TEST(Graph, Prob1UniversalAllRoutesLead) {
   mdp.add_choice(1, "go", {Transition{2, 1.0}});
   mdp.add_choice(2, "stay", {Transition{2, 1.0}});
   mdp.add_label(2, "goal");
-  const StateSet p1 = prob1_universal(mdp, mdp.states_with_label("goal"));
+  const StateSet p1 = reach_prob01(compile(mdp), mdp.states_with_label("goal"),
+                                   Objective::kMinimize)
+                          .one;
   EXPECT_TRUE(p1[0]);
   EXPECT_TRUE(p1[1]);
   EXPECT_TRUE(p1[2]);
@@ -83,11 +100,10 @@ TEST(Graph, DtmcProb0Prob1) {
   chain.set_transitions(2, {Transition{2, 1.0}});
   StateSet target(3, false);
   target[2] = true;
-  const StateSet zero = dtmc_prob0(chain, target);
+  const auto [zero, one] = dtmc_prob01(chain, target);
   EXPECT_TRUE(zero[0]);
   EXPECT_FALSE(zero[1]);
   EXPECT_FALSE(zero[2]);
-  const StateSet one = dtmc_prob1(chain, target);
   EXPECT_FALSE(one[0]);
   EXPECT_FALSE(one[1]);
   EXPECT_TRUE(one[2]);
@@ -100,19 +116,20 @@ TEST(Graph, DtmcProb1TransientLoop) {
   chain.set_transitions(1, {Transition{1, 1.0}});
   StateSet target(2, false);
   target[1] = true;
-  const StateSet one = dtmc_prob1(chain, target);
+  const StateSet one = dtmc_prob01(chain, target).one;
   EXPECT_TRUE(one[0]);
   EXPECT_TRUE(one[1]);
 }
 
 TEST(Graph, ForwardReachableMdp) {
   const Mdp mdp = trap_mdp();
-  const StateSet from0 = forward_reachable(mdp, 0);
+  const CompiledModel model = compile(mdp);
+  const StateSet from0 = forward_reachable(model, 0);
   EXPECT_TRUE(from0[0]);
   EXPECT_TRUE(from0[1]);
   EXPECT_TRUE(from0[2]);
   EXPECT_FALSE(from0[3]);
-  const StateSet from3 = forward_reachable(mdp, 3);
+  const StateSet from3 = forward_reachable(model, 3);
   EXPECT_TRUE(from3[3]);
   EXPECT_TRUE(from3[0]);
 }
@@ -122,17 +139,20 @@ TEST(Graph, ForwardReachableDtmc) {
   chain.set_transitions(0, {Transition{1, 1.0}});
   chain.set_transitions(1, {Transition{1, 1.0}});
   chain.set_transitions(2, {Transition{0, 1.0}});
-  const StateSet r = forward_reachable(chain, 0);
+  const StateSet r = forward_reachable(compile(chain), 0);
   EXPECT_TRUE(r[0]);
   EXPECT_TRUE(r[1]);
   EXPECT_FALSE(r[2]);
 }
 
 TEST(Graph, SizeMismatchThrows) {
-  const Mdp mdp = trap_mdp();
-  EXPECT_THROW(reachable_existential(mdp, StateSet(2, false)), Error);
-  EXPECT_THROW(avoid_certain(mdp, StateSet(2, false)), Error);
-  EXPECT_THROW(prob1_existential(mdp, StateSet(9, false)), Error);
+  const CompiledModel model = compile(trap_mdp());
+  EXPECT_THROW(reachable_existential(model, StateSet(2, false)), Error);
+  EXPECT_THROW(reach_prob01(model, StateSet(2, false), Objective::kMinimize),
+               Error);
+  EXPECT_THROW(prob1_existential(model, StateSet(9, false)), Error);
+  EXPECT_THROW(reach_prob01(model, StateSet(9, false), Objective::kMaximize),
+               Error);
 }
 
 TEST(Graph, DtmcProb1PathThroughTargetCounts) {
@@ -144,7 +164,7 @@ TEST(Graph, DtmcProb1PathThroughTargetCounts) {
   chain.set_transitions(2, {Transition{2, 1.0}});
   StateSet target(3, false);
   target[1] = true;
-  const StateSet one = dtmc_prob1(chain, target);
+  const StateSet one = dtmc_prob01(chain, target).one;
   EXPECT_TRUE(one[0]);
   EXPECT_TRUE(one[1]);
   EXPECT_FALSE(one[2]);
@@ -158,7 +178,8 @@ TEST(Graph, Prob1UniversalPathThroughTargetCounts) {
   mdp.add_choice(2, "stay", {Transition{2, 1.0}});
   StateSet target(3, false);
   target[1] = true;
-  const StateSet one = prob1_universal(mdp, target);
+  const StateSet one =
+      reach_prob01(compile(mdp), target, Objective::kMinimize).one;
   EXPECT_TRUE(one[0]);
   EXPECT_TRUE(one[1]);
   EXPECT_FALSE(one[2]);
@@ -170,7 +191,8 @@ TEST(Graph, ZeroProbabilityEdgesIgnored) {
   mdp.add_choice(0, "a", {Transition{1, 0.0}, Transition{0, 1.0}});
   mdp.add_choice(1, "stay", {Transition{1, 1.0}});
   mdp.add_label(1, "goal");
-  const StateSet r = reachable_existential(mdp, mdp.states_with_label("goal"));
+  const StateSet r =
+      reachable_existential(compile(mdp), mdp.states_with_label("goal"));
   EXPECT_FALSE(r[0]);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.hpp"
 #include "src/mdp/simulate.hpp"
 
@@ -21,7 +23,7 @@ Dtmc flip_chain(double a, double b) {
 }
 
 TEST(BottomSccs, ErgodicChainIsOneComponent) {
-  const auto bottoms = bottom_sccs(flip_chain(0.3, 0.2));
+  const auto bottoms = bottom_sccs(compile(flip_chain(0.3, 0.2)));
   ASSERT_EQ(bottoms.size(), 1u);
   EXPECT_EQ(bottoms[0], (std::vector<StateId>{0, 1}));
 }
@@ -31,7 +33,7 @@ TEST(BottomSccs, AbsorbingStatesAreSingletons) {
   chain.set_transitions(0, {Transition{1, 0.5}, Transition{2, 0.5}});
   chain.set_transitions(1, {Transition{1, 1.0}});
   chain.set_transitions(2, {Transition{2, 1.0}});
-  const auto bottoms = bottom_sccs(chain);
+  const auto bottoms = bottom_sccs(compile(chain));
   ASSERT_EQ(bottoms.size(), 2u);
   // The transient initial state is in no bottom component.
   for (const auto& component : bottoms) {
@@ -46,14 +48,46 @@ TEST(BottomSccs, RecurrentCycleFound) {
   chain.set_transitions(0, {Transition{1, 1.0}});
   chain.set_transitions(1, {Transition{2, 1.0}});
   chain.set_transitions(2, {Transition{1, 1.0}});
-  const auto bottoms = bottom_sccs(chain);
+  const auto bottoms = bottom_sccs(compile(chain));
   ASSERT_EQ(bottoms.size(), 1u);
   EXPECT_EQ(bottoms[0], (std::vector<StateId>{1, 2}));
 }
 
+TEST(BottomSccs, TransientSccFeedsTwoBottomsInDiscoveryOrder) {
+  // {0,1} is a transient SCC feeding the bottoms {4} and {2,3}. State 1
+  // lists its edge to 4 before its edge to 2, so the depth-first search
+  // from root 0 closes {4} first: bottoms come in discovery (Tarjan
+  // emission) order, not in order of their smallest state.
+  Dtmc chain(5);
+  chain.set_transitions(0, {Transition{1, 1.0}});
+  chain.set_transitions(
+      1, {Transition{0, 0.5}, Transition{4, 0.25}, Transition{2, 0.25}});
+  chain.set_transitions(2, {Transition{3, 1.0}});
+  chain.set_transitions(3, {Transition{2, 1.0}});
+  chain.set_transitions(4, {Transition{4, 1.0}});
+  const CompiledModel model = compile(chain);
+  const auto bottoms = bottom_sccs(model);
+  ASSERT_EQ(bottoms.size(), 2u);
+  EXPECT_EQ(bottoms[0], (std::vector<StateId>{4}));
+  EXPECT_EQ(bottoms[1], (std::vector<StateId>{2, 3}));
+  // Each bottom is closed: no positive edge leaves it.
+  for (const auto& component : bottoms) {
+    for (StateId s : component) {
+      for (const Transition& t : chain.transitions(s)) {
+        EXPECT_TRUE(std::binary_search(component.begin(), component.end(),
+                                       t.target))
+            << s << " -> " << t.target;
+      }
+    }
+  }
+  // The transient block is a block of the condensation but not a bottom.
+  EXPECT_EQ(model.scc().component[0], model.scc().component[1]);
+}
+
 TEST(StationaryDistribution, FlipChainClosedForm) {
   const Dtmc chain = flip_chain(0.3, 0.2);
-  const std::vector<double> pi = stationary_distribution(chain, {0, 1});
+  const std::vector<double> pi =
+      stationary_distribution(compile(chain), {0, 1});
   EXPECT_NEAR(pi[0], 0.4, 1e-9);
   EXPECT_NEAR(pi[1], 0.6, 1e-9);
 }
@@ -62,7 +96,8 @@ TEST(StationaryDistribution, PeriodicCycleIsUniform) {
   Dtmc chain(2);
   chain.set_transitions(0, {Transition{1, 1.0}});
   chain.set_transitions(1, {Transition{0, 1.0}});
-  const std::vector<double> pi = stationary_distribution(chain, {0, 1});
+  const std::vector<double> pi =
+      stationary_distribution(compile(chain), {0, 1});
   EXPECT_NEAR(pi[0], 0.5, 1e-9);
   EXPECT_NEAR(pi[1], 0.5, 1e-9);
 }
@@ -72,13 +107,14 @@ TEST(StationaryDistribution, RejectsNonClosedSet) {
   chain.set_transitions(0, {Transition{1, 1.0}});
   chain.set_transitions(1, {Transition{2, 1.0}});
   chain.set_transitions(2, {Transition{2, 1.0}});
-  EXPECT_THROW(stationary_distribution(chain, {0, 1}), Error);
+  EXPECT_THROW(stationary_distribution(compile(chain), {0, 1}), Error);
 }
 
 TEST(LongRun, ErgodicMatchesStationary) {
   const Dtmc chain = flip_chain(0.1, 0.4);
-  EXPECT_NEAR(long_run_probability(chain, chain.states_with_label("on")),
-              0.2, 1e-9);
+  EXPECT_NEAR(
+      long_run_probability(compile(chain), chain.states_with_label("on")), 0.2,
+      1e-9);
 }
 
 TEST(LongRun, SplitsAcrossAbsorbingComponents) {
@@ -88,11 +124,12 @@ TEST(LongRun, SplitsAcrossAbsorbingComponents) {
   chain.set_transitions(1, {Transition{1, 1.0}});
   chain.set_transitions(2, {Transition{2, 1.0}});
   chain.add_label(1, "goal");
-  const std::vector<double> occupancy = long_run_distribution(chain);
+  const CompiledModel model = compile(chain);
+  const std::vector<double> occupancy = long_run_distribution(model);
   EXPECT_NEAR(occupancy[0], 0.0, 1e-12);
   EXPECT_NEAR(occupancy[1], 0.3, 1e-9);
   EXPECT_NEAR(occupancy[2], 0.7, 1e-9);
-  EXPECT_NEAR(long_run_probability(chain, chain.states_with_label("goal")),
+  EXPECT_NEAR(long_run_probability(model, chain.states_with_label("goal")),
               0.3, 1e-9);
 }
 
@@ -104,7 +141,7 @@ TEST(LongRun, MixedRecurrentStructure) {
   chain.set_transitions(1, {Transition{2, 1.0}});
   chain.set_transitions(2, {Transition{1, 1.0}});
   chain.set_transitions(3, {Transition{3, 1.0}});
-  const std::vector<double> occupancy = long_run_distribution(chain);
+  const std::vector<double> occupancy = long_run_distribution(compile(chain));
   EXPECT_NEAR(occupancy[1], 0.25, 1e-9);
   EXPECT_NEAR(occupancy[2], 0.25, 1e-9);
   EXPECT_NEAR(occupancy[3], 0.5, 1e-9);
@@ -116,7 +153,7 @@ TEST(LongRun, MixedRecurrentStructure) {
 TEST(LongRun, AgreesWithSimulation) {
   const Dtmc chain = flip_chain(0.25, 0.15);
   const double analytic =
-      long_run_probability(chain, chain.states_with_label("on"));
+      long_run_probability(compile(chain), chain.states_with_label("on"));
   // Simulate one long run and measure the empirical occupancy.
   const Mdp mdp = chain.as_mdp();
   Rng rng(21);
