@@ -7,6 +7,7 @@
 #include "src/checker/reachability.hpp"
 #include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
+#include "src/mdp/bellman.hpp"
 #include "src/mdp/quotient.hpp"
 #include "src/mdp/solver.hpp"
 
@@ -144,48 +145,26 @@ class Checker {
     return std::move(result.values);
   }
 
-  /// Throws BudgetExhausted, carrying `bracket`, when the solve behind
-  /// `result` stopped on the budget rather than converging.
-  static void require_finished(const SolveResult& result, const char* engine,
-                               std::optional<Bracket> bracket = std::nullopt) {
-    if (result.budget_status != BudgetStatus::kBudgetExhausted) return;
-    throw BudgetExhausted(std::string(engine) + ": budget exhausted (" +
-                              to_string(result.budget_stop) + ") after " +
-                              std::to_string(result.iterations) + " sweeps",
-                          result.budget_stop, bracket);
-  }
-
   std::vector<double> bounded_until(const StateSet& stay, const StateSet& goal,
                                     std::size_t bound, Objective objective) {
     return mdp_bounded_until(model_, stay, goal, bound, objective,
                              options_.threads, &options_.budget);
   }
 
-  /// One-step probability of entering `goal`, optimized over choices. For a
-  /// deterministic model each row has a single choice, so the same CSR loop
-  /// serves both kinds.
+  /// One-step probability of entering `goal`, optimized over choices: one
+  /// Bellman step on the goal indicator. For a deterministic model each row
+  /// has a single choice, so the same step serves both kinds.
   std::vector<double> next(const StateSet& goal, Objective objective) {
     const std::size_t n = model_.num_states();
-    const auto& row_start = model_.row_start();
-    const auto& choice_start = model_.choice_start();
-    const auto& target = model_.target();
-    const auto& prob = model_.prob();
-    std::vector<double> values(n, 0.0);
+    std::vector<double> indicator(n, 0.0);
     for (StateId s = 0; s < n; ++s) {
-      bool first = true;
-      double best = 0.0;
-      for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-        double p = 0.0;
-        for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-          if (goal[target[k]]) p += prob[k];
-        }
-        if (first ||
-            (objective == Objective::kMaximize ? p > best : p < best)) {
-          best = p;
-          first = false;
-        }
-      }
-      values[s] = best;
+      if (goal[s]) indicator[s] = 1.0;
+    }
+    std::vector<double> values(n);
+    for (StateId s = 0; s < n; ++s) {
+      values[s] = best_choice(model_, s, objective, [&](std::uint32_t c) {
+                    return expectation(model_, c, indicator);
+                  }).value;
     }
     return values;
   }
@@ -286,18 +265,9 @@ StateSet satisfying_states(const CompiledModel& model,
   return Checker(model).sat(formula);
 }
 
-StateSet satisfying_states(const Dtmc& chain, const StateFormula& formula) {
-  return satisfying_states(compile(chain), formula);
-}
-
 std::vector<double> quantitative_values(const CompiledModel& model,
                                         const StateFormula& formula) {
   return Checker(model).values(formula);
-}
-
-std::vector<double> quantitative_values(const Dtmc& chain,
-                                        const StateFormula& formula) {
-  return quantitative_values(compile(chain), formula);
 }
 
 CheckResult check(const CompiledModel& model, const StateFormula& formula,

@@ -56,19 +56,15 @@ struct CheckOptions {
 };
 
 /// Set of states satisfying a boolean PCTL formula. Throws for quantitative
-/// (`=?`) formulas — those have no satisfaction set. The Dtmc overload
-/// compiles and delegates; checking several formulas against one model is
-/// cheaper through a single compiled form.
+/// (`=?`) formulas — those have no satisfaction set. Callers holding a
+/// builder model compile() it once and check every formula against that.
 StateSet satisfying_states(const CompiledModel& model,
                            const StateFormula& formula);
-StateSet satisfying_states(const Dtmc& chain, const StateFormula& formula);
 
 /// Per-state numeric values of the outermost P/R operator of `formula`
 /// (which must be kProb/kProbQuery/kReward/kRewardQuery). For a boolean
 /// operator the values are the quantities compared against the bound.
 std::vector<double> quantitative_values(const CompiledModel& model,
-                                        const StateFormula& formula);
-std::vector<double> quantitative_values(const Dtmc& chain,
                                         const StateFormula& formula);
 
 /// Full check against the model's initial state; fills both the boolean

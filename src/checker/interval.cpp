@@ -3,59 +3,57 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+
+#include "src/common/parallel.hpp"
+#include "src/mdp/bellman.hpp"
 
 namespace tml {
 
 IntervalMdp IntervalMdp::widen(const Mdp& nominal, double radius) {
-  nominal.validate();
   TML_REQUIRE(radius >= 0.0, "IntervalMdp::widen: negative radius");
   IntervalMdp out;
-  out.initial_state_ = nominal.initial_state();
-  out.choices_.resize(nominal.num_states());
-  for (StateId s = 0; s < nominal.num_states(); ++s) {
-    for (const Choice& choice : nominal.choices(s)) {
-      IntervalChoice ic;
-      ic.action = choice.action;
-      const bool singleton = choice.transitions.size() == 1;
-      for (const Transition& t : choice.transitions) {
-        IntervalTransition it;
-        it.target = t.target;
-        if (singleton || t.probability >= 1.0) {
-          it.lower = it.upper = t.probability;
-        } else {
-          it.lower = std::max(0.0, t.probability - radius);
-          it.upper = std::min(1.0, t.probability + radius);
-        }
-        ic.transitions.push_back(it);
+  out.nominal_ = compile(nominal);  // validates; keeps transition order
+  const auto& choice_start = out.nominal_.choice_start();
+  const auto& prob = out.nominal_.prob();
+  out.lower_.resize(prob.size());
+  out.upper_.resize(prob.size());
+  for (std::uint32_t c = 0; c < out.nominal_.num_choices(); ++c) {
+    const bool singleton = choice_start[c + 1] - choice_start[c] == 1;
+    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+      if (singleton || prob[k] >= 1.0) {
+        out.lower_[k] = out.upper_[k] = prob[k];
+      } else {
+        out.lower_[k] = std::max(0.0, prob[k] - radius);
+        out.upper_[k] = std::min(1.0, prob[k] + radius);
       }
-      out.choices_[s].push_back(std::move(ic));
     }
   }
   out.validate();
   return out;
 }
 
-const std::vector<IntervalChoice>& IntervalMdp::choices(StateId s) const {
-  TML_REQUIRE(s < choices_.size(), "IntervalMdp::choices: out of range");
-  return choices_[s];
+PolytopeSlice IntervalMdp::polytope(std::uint32_t c) const {
+  const std::uint32_t begin = nominal_.choice_start()[c];
+  const std::size_t size = nominal_.choice_start()[c + 1] - begin;
+  return {nominal_.targets(c), {lower_.data() + begin, size},
+          {upper_.data() + begin, size}};
 }
 
 void IntervalMdp::validate() const {
-  if (choices_.empty()) throw ModelError("IntervalMdp: no states");
-  for (StateId s = 0; s < choices_.size(); ++s) {
-    if (choices_[s].empty()) {
-      throw ModelError("IntervalMdp: state " + std::to_string(s) +
-                       " has no choices");
-    }
-    for (const IntervalChoice& c : choices_[s]) {
+  for (StateId s = 0; s < num_states(); ++s) {
+    for (std::uint32_t c = nominal_.first_choice(s);
+         c < nominal_.last_choice(s); ++c) {
+      const PolytopeSlice box = polytope(c);
       double lo = 0.0, hi = 0.0;
-      for (const IntervalTransition& t : c.transitions) {
-        if (t.lower < -1e-12 || t.upper > 1.0 + 1e-12 || t.lower > t.upper) {
+      for (std::size_t i = 0; i < box.targets.size(); ++i) {
+        if (box.lower[i] < -1e-12 || box.upper[i] > 1.0 + 1e-12 ||
+            box.lower[i] > box.upper[i]) {
           throw ModelError("IntervalMdp: malformed interval in state " +
                            std::to_string(s));
         }
-        lo += t.lower;
-        hi += t.upper;
+        lo += box.lower[i];
+        hi += box.upper[i];
       }
       if (lo > 1.0 + 1e-9 || hi < 1.0 - 1e-9) {
         throw ModelError("IntervalMdp: empty polytope in state " +
@@ -65,35 +63,37 @@ void IntervalMdp::validate() const {
   }
 }
 
-std::vector<double> resolve_polytope(
-    const std::vector<IntervalTransition>& transitions,
-    std::span<const double> values, bool maximize) {
+std::span<const double> resolve_polytope(const PolytopeSlice& box,
+                                         std::span<const double> values,
+                                         bool maximize,
+                                         PolytopeScratch& scratch) {
   // Start from the lower bounds, then spend the remaining budget
   // (1 − Σ lower) on successors in value order.
-  std::vector<double> p(transitions.size());
+  const std::size_t m = box.targets.size();
+  scratch.p.resize(m);
+  scratch.order.resize(m);
   double budget = 1.0;
-  for (std::size_t i = 0; i < transitions.size(); ++i) {
-    p[i] = transitions[i].lower;
-    budget -= transitions[i].lower;
+  for (std::size_t i = 0; i < m; ++i) {
+    scratch.p[i] = box.lower[i];
+    budget -= box.lower[i];
   }
   TML_ASSERT(budget >= -1e-9, "resolve_polytope: lower bounds exceed 1");
 
-  std::vector<std::size_t> order(transitions.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double va = values[transitions[a].target];
-    const double vb = values[transitions[b].target];
-    return maximize ? va > vb : va < vb;
-  });
-  for (std::size_t idx : order) {
+  std::iota(scratch.order.begin(), scratch.order.end(), 0);
+  std::sort(scratch.order.begin(), scratch.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              const double va = values[box.targets[a]];
+              const double vb = values[box.targets[b]];
+              return maximize ? va > vb : va < vb;
+            });
+  for (std::size_t idx : scratch.order) {
     if (budget <= 0.0) break;
-    const double room = transitions[idx].upper - transitions[idx].lower;
-    const double add = std::min(room, budget);
-    p[idx] += add;
+    const double add = std::min(box.upper[idx] - box.lower[idx], budget);
+    scratch.p[idx] += add;
     budget -= add;
   }
   TML_ASSERT(budget <= 1e-9, "resolve_polytope: budget not exhausted");
-  return p;
+  return scratch.p;
 }
 
 std::vector<double> interval_reachability(const IntervalMdp& mdp,
@@ -101,7 +101,8 @@ std::vector<double> interval_reachability(const IntervalMdp& mdp,
                                           Objective objective, Nature nature,
                                           const SolverOptions& options) {
   mdp.validate();
-  const std::size_t n = mdp.num_states();
+  const CompiledModel& model = mdp.nominal();
+  const std::size_t n = model.num_states();
   TML_REQUIRE(targets.size() == n,
               "interval_reachability: target set size mismatch");
 
@@ -111,47 +112,40 @@ std::vector<double> interval_reachability(const IntervalMdp& mdp,
   const bool nature_max =
       nature == Nature::kCooperative ? scheduler_max : !scheduler_max;
 
-  std::vector<double> values(n, 0.0);
+  SolveResult result;
+  result.values.assign(n, 0.0);
   for (StateId s = 0; s < n; ++s) {
-    if (targets[s]) values[s] = 1.0;
+    if (targets[s]) result.values[s] = 1.0;
   }
-  std::vector<double> next = values;
 
-  bool converged = false;
-  std::size_t iterations = 0;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    double delta = 0.0;
-    for (StateId s = 0; s < n; ++s) {
-      if (targets[s]) continue;
-      bool first = true;
-      double best = 0.0;
-      for (const IntervalChoice& choice : mdp.choices(s)) {
-        const std::vector<double> p =
-            resolve_polytope(choice.transitions, values, nature_max);
-        double q = 0.0;
-        for (std::size_t i = 0; i < p.size(); ++i) {
-          q += p[i] * values[choice.transitions[i].target];
+  // One scratch per driver chunk (a chunk runs on one thread at a time);
+  // grown in the first sweep, so later sweeps allocate nothing.
+  std::vector<PolytopeScratch> scratch(chunk_count(0, n, kDefaultGrain));
+
+  iterate_to_fixpoint(
+      "interval_reachability", options, &result,
+      [&](std::size_t begin, std::size_t end, std::span<const double> values,
+          std::vector<double>& next) {
+        PolytopeScratch& buf = scratch[begin / kDefaultGrain];
+        double local = 0.0;
+        for (StateId s = begin; s < end; ++s) {
+          if (targets[s]) continue;
+          next[s] = best_choice(model, s, objective, [&](std::uint32_t c) {
+                      const PolytopeSlice box = mdp.polytope(c);
+                      const std::span<const double> p =
+                          resolve_polytope(box, values, nature_max, buf);
+                      double q = 0.0;
+                      for (std::size_t i = 0; i < p.size(); ++i) {
+                        q += p[i] * values[box.targets[i]];
+                      }
+                      return q;
+                    }).value;
+          local = std::max(local, std::abs(next[s] - values[s]));
         }
-        if (first || (scheduler_max ? q > best : q < best)) {
-          best = q;
-          first = false;
-        }
-      }
-      next[s] = best;
-      delta = std::max(delta, std::abs(next[s] - values[s]));
-    }
-    values.swap(next);
-    iterations = iter + 1;
-    if (delta < options.tolerance) {
-      converged = true;
-      break;
-    }
-  }
-  if (!converged && options.throw_on_nonconvergence) {
-    throw NumericError("interval_reachability: no convergence after " +
-                       std::to_string(iterations) + " iterations");
-  }
-  return values;
+        return local;
+      });
+  require_finished(result, "interval_reachability");
+  return std::move(result.values);
 }
 
 }  // namespace tml

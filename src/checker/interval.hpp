@@ -5,14 +5,21 @@
 // uncertainties instead of repairing a concrete model. This module
 // implements that baseline for the interval case:
 //
-//  * an `IntervalMdp` whose transition probabilities are intervals
-//    [lo, hi] containing the nominal value;
+//  * an `IntervalMdp` is the nominal model's compiled CSR core plus
+//    `lower`/`upper` columns aligned with its `prob()` column;
 //  * robust value iteration for reachability: nature picks, at every step
 //    and adversarially (or cooperatively), a distribution inside the
-//    intervals. The inner optimization over the transition polytope is the
-//    classic order-based greedy: sort successors by value, give maximal
-//    mass to the best (or worst) ones subject to the interval box and the
-//    sum-to-one budget.
+//    intervals. It is the point Bellman step (src/mdp/bellman.hpp) with
+//    each choice's expectation replaced by the classic order-based greedy
+//    over its polytope: sort successors by value, give maximal mass to the
+//    best (or worst) ones subject to the box and the sum-to-one budget.
+//
+// It runs on the shared convergence driver, so it honours the budget and
+// `threads` (bitwise identical for every thread count) and has the same
+// NaN guard and fault sites as value iteration. Its values are still the
+// lower iterate stopped on `delta < tolerance`, NOT a certified bracket:
+// that needs an interval prob0/prob1 and end-component handling under
+// nature.
 //
 // The ablate_baselines bench uses it to contrast the two philosophies:
 // interval verification certifies what holds for EVERY model in a
@@ -21,24 +28,21 @@
 
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "src/mdp/compiled.hpp"
 #include "src/mdp/model.hpp"
 #include "src/mdp/solver.hpp"
 
 namespace tml {
 
-/// One uncertain probabilistic edge.
-struct IntervalTransition {
-  StateId target = 0;
-  double lower = 0.0;
-  double upper = 0.0;
-};
-
-/// One action with an interval transition polytope.
-struct IntervalChoice {
-  ActionId action = 0;
-  std::vector<IntervalTransition> transitions;
+/// One choice's interval polytope as index-aligned CSR slices: successor
+/// states and the [lower, upper] box of each edge.
+struct PolytopeSlice {
+  std::span<const StateId> targets;
+  std::span<const double> lower;
+  std::span<const double> upper;
 };
 
 /// MDP with interval transition probabilities. Built from a nominal MDP by
@@ -50,17 +54,25 @@ class IntervalMdp {
   /// (and singleton rows) stay exact.
   static IntervalMdp widen(const Mdp& nominal, double radius);
 
-  std::size_t num_states() const { return choices_.size(); }
-  StateId initial_state() const { return initial_state_; }
-  const std::vector<IntervalChoice>& choices(StateId s) const;
+  /// The nominal model; transition k of its CSR columns is boxed by
+  /// [lower()[k], upper()[k]].
+  const CompiledModel& nominal() const { return nominal_; }
+  std::size_t num_states() const { return nominal_.num_states(); }
+  StateId initial_state() const { return nominal_.initial_state(); }
+  const std::vector<double>& lower() const { return lower_; }
+  const std::vector<double>& upper() const { return upper_; }
+
+  /// The polytope of global choice c of nominal().
+  PolytopeSlice polytope(std::uint32_t c) const;
 
   /// Checks that every choice's polytope is non-empty
   /// (Σ lower <= 1 <= Σ upper).
   void validate() const;
 
  private:
-  std::vector<std::vector<IntervalChoice>> choices_;
-  StateId initial_state_ = 0;
+  CompiledModel nominal_;
+  std::vector<double> lower_;  // aligned with nominal_.prob()
+  std::vector<double> upper_;
 };
 
 /// Who resolves the interval uncertainty.
@@ -73,16 +85,27 @@ enum class Nature {
 ///   opt_{scheduler} opt_{nature} P(F targets),
 /// where the scheduler optimizes `objective` and nature resolves each
 /// choice's polytope per `nature` (adversarial nature opposes the
-/// scheduler's objective).
+/// scheduler's objective). Throws BudgetExhausted when options.budget
+/// stops the sweeps, NumericError on a NaN sweep or (with
+/// throw_on_nonconvergence) when max_iterations run out.
 std::vector<double> interval_reachability(const IntervalMdp& mdp,
                                           const StateSet& targets,
                                           Objective objective, Nature nature,
                                           const SolverOptions& options = {});
 
+/// Scratch for resolve_polytope, reused across calls so a sweep allocates
+/// nothing once the buffers have grown to the widest row.
+struct PolytopeScratch {
+  std::vector<double> p;
+  std::vector<std::size_t> order;
+};
+
 /// Inner optimization over one interval polytope: the distribution inside
-/// the box maximizing (or minimizing) Σ p_i · value_i. Exposed for tests.
-std::vector<double> resolve_polytope(
-    const std::vector<IntervalTransition>& transitions,
-    std::span<const double> values, bool maximize);
+/// the box maximizing (or minimizing) Σ p_i · values[target_i]. Returns a
+/// view into `scratch.p` (valid until the next call with that scratch).
+std::span<const double> resolve_polytope(const PolytopeSlice& box,
+                                         std::span<const double> values,
+                                         bool maximize,
+                                         PolytopeScratch& scratch);
 
 }  // namespace tml

@@ -7,6 +7,7 @@
 #include "src/common/fault.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/stats.hpp"
+#include "src/mdp/bellman.hpp"
 #include "src/mdp/graph.hpp"
 #include "src/mdp/solver.hpp"
 
@@ -35,6 +36,46 @@ double checked_gap(double gap) {
         "sequence produced non-finite values");
   }
   return gap;
+}
+
+/// One Bellman step of P(F target) at state s: the optimal choice's
+/// expectation of `values`, with Pmin's min(1, ·) clamp against rounding
+/// overshoot. Pmax needs no clamp: an expectation of nonnegative values
+/// never drops below 0.
+double reach_step(const CompiledModel& model, StateId s, Objective objective,
+                  std::span<const double> values) {
+  const double best =
+      best_choice(model, s, objective, [&](std::uint32_t c) {
+        return expectation(model, c, values);
+      }).value;
+  return objective == Objective::kMaximize ? best : std::min(1.0, best);
+}
+
+/// `steps` Jacobi applications of the per-state update `step(s, values)`
+/// from `values`, polling the budget once per sweep: the one fixed-horizon
+/// sweep behind the bounded-until and cumulative-reward entry points.
+template <typename Step>
+std::vector<double> fixed_horizon(const char* engine,
+                                  std::vector<double> values,
+                                  std::size_t steps, std::size_t threads,
+                                  const Budget* budget, Step&& step) {
+  const std::size_t n = values.size();
+  std::vector<double> next = values;
+  BudgetTracker tracker(budget_or_default(budget));
+  for (std::size_t k = 0; k < steps; ++k) {
+    if (!tracker.tick()) tracker.require_ok(engine);
+    parallel_for(
+        0, n, kDefaultGrain,
+        [&](std::size_t chunk_begin, std::size_t chunk_end) {
+          for (StateId s = chunk_begin; s < chunk_end; ++s) {
+            next[s] = step(s, std::span<const double>(values));
+          }
+        },
+        threads);
+    values.swap(next);
+  }
+  record_bounded_sweeps(steps);
+  return values;
 }
 
 /// Restricts an until problem to a plain reachability problem: states in
@@ -293,19 +334,7 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             const StateId s = scc.block_states[i];
             if (zero[s] || one[s]) continue;
-            double best = objective == Objective::kMaximize ? 0.0 : 1.0;
-            for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-              double q = 0.0;
-              for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-                   ++k) {
-                q += prob[k] * src[target[k]];
-              }
-              if (objective == Objective::kMaximize) {
-                best = std::max(best, q);
-              } else {
-                best = std::min(best, q);
-              }
-            }
+            const double best = reach_step(model, s, objective, src);
             dst[s] = from_below ? std::max(best, src[s])
                                 : std::min(best, src[s]);
           }
@@ -373,24 +402,8 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
       for (std::size_t i = begin; i < end && (lo_ok || hi_ok); ++i) {
         const StateId s = scc.block_states[i];
         if (zero[s] || one[s]) continue;
-        double best_lo = objective == Objective::kMaximize ? 0.0 : 1.0;
-        double best_hi = best_lo;
-        for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-          double q_lo = 0.0;
-          double q_hi = 0.0;
-          for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-               ++k) {
-            q_lo += prob[k] * lo[target[k]];
-            q_hi += prob[k] * hi[target[k]];
-          }
-          if (objective == Objective::kMaximize) {
-            best_lo = std::max(best_lo, q_lo);
-            best_hi = std::max(best_hi, q_hi);
-          } else {
-            best_lo = std::min(best_lo, q_lo);
-            best_hi = std::min(best_hi, q_hi);
-          }
-        }
+        const double best_lo = reach_step(model, s, objective, lo);
+        const double best_hi = reach_step(model, s, objective, hi);
         if (best_lo < lo[s]) lo_ok = false;
         if (best_hi > hi[s]) hi_ok = false;
       }
@@ -512,15 +525,9 @@ std::vector<double> mdp_reachability(const CompiledModel& model,
                                      const SolverOptions& options) {
   SolveResult result =
       mdp_reachability_bracket(model, targets, objective, options);
-  if (result.budget_status == BudgetStatus::kBudgetExhausted) {
-    // This entry point returns a bare vector, so it has no channel for the
-    // exhaustion flag; surface the typed error instead of a silent partial.
-    throw BudgetExhausted("mdp_reachability: budget exhausted (" +
-                              std::string(to_string(result.budget_stop)) +
-                              ") after " +
-                              std::to_string(result.iterations) + " sweeps",
-                          result.budget_stop);
-  }
+  // A bare vector has no channel for the exhaustion flag; surface the typed
+  // error instead of a silent partial.
+  require_finished(result, "mdp_reachability");
   return std::move(result.values);
 }
 
@@ -556,51 +563,17 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
   const std::size_t n = model.num_states();
   TML_REQUIRE(stay.size() == n && goal.size() == n,
               "mdp_bounded_until: set size mismatch");
-  BudgetTracker tracker(budget_or_default(budget));
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
   std::vector<double> values(n, 0.0);
   for (StateId s = 0; s < n; ++s) {
     if (goal[s]) values[s] = 1.0;
   }
-  std::vector<double> next = values;
-  for (std::size_t k = 0; k < bound; ++k) {
-    if (!tracker.tick()) tracker.require_ok("mdp_bounded_until");
-    parallel_for(
-        0, n, kDefaultGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            if (goal[s]) {
-              next[s] = 1.0;
-              continue;
-            }
-            if (!stay[s]) {
-              next[s] = 0.0;
-              continue;
-            }
-            double best = objective == Objective::kMaximize ? 0.0 : 1.0;
-            for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-              double q = 0.0;
-              for (std::uint32_t t = choice_start[c]; t < choice_start[c + 1];
-                   ++t) {
-                q += prob[t] * values[target[t]];
-              }
-              if (objective == Objective::kMaximize) {
-                best = std::max(best, q);
-              } else {
-                best = std::min(best, q);
-              }
-            }
-            next[s] = best;
-          }
-        },
-        threads);
-    values.swap(next);
-  }
-  record_bounded_sweeps(bound);
-  return values;
+  return fixed_horizon(
+      "mdp_bounded_until", std::move(values), bound, threads, budget,
+      [&](StateId s, std::span<const double> prev) {
+        if (goal[s]) return 1.0;
+        if (!stay[s]) return 0.0;
+        return reach_step(model, s, objective, prev);
+      });
 }
 
 std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
@@ -614,42 +587,16 @@ std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
                                           Objective objective,
                                           std::size_t threads,
                                           const Budget* budget) {
-  const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  std::vector<double> values(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  BudgetTracker tracker(budget_or_default(budget));
-  for (std::size_t k = 0; k < horizon; ++k) {
-    if (!tracker.tick()) tracker.require_ok("mdp_cumulative_reward");
-    parallel_for(
-        0, n, kDefaultGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            bool first = true;
-            double best = 0.0;
-            for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-              double q = model.state_reward(s) + model.choice_reward(c);
-              for (std::uint32_t t = choice_start[c]; t < choice_start[c + 1];
-                   ++t) {
-                q += prob[t] * values[target[t]];
-              }
-              if (first ||
-                  (objective == Objective::kMaximize ? q > best : q < best)) {
-                best = q;
-                first = false;
-              }
-            }
-            next[s] = best;
-          }
-        },
-        threads);
-    values.swap(next);
-  }
-  record_bounded_sweeps(horizon);
-  return values;
+  return fixed_horizon(
+      "mdp_cumulative_reward", std::vector<double>(model.num_states(), 0.0),
+      horizon, threads, budget,
+      [&](StateId s, std::span<const double> prev) {
+        return best_choice(model, s, objective, [&](std::uint32_t c) {
+                 return expectation(
+                     model, c, prev,
+                     model.state_reward(s) + model.choice_reward(c));
+               }).value;
+      });
 }
 
 }  // namespace tml

@@ -13,8 +13,13 @@
 // Every entry point takes the compiled CSR form; callers compile once and
 // reuse it across queries. Until operators restrict to plain reachability
 // via CompiledModel::make_absorbing (states outside stay ∪ goal can never
-// contribute). The step-bounded and cumulative operators have one sweep
-// each, shared by DTMCs (one-choice rows) and MDPs.
+// contribute). The step-bounded and cumulative operators are two thin
+// entry points over one fixed-horizon Jacobi sweep, shared by DTMCs
+// (one-choice rows) and MDPs. Every sweep here — interval, warm-seed
+// certificate, fixed-horizon — applies the one Bellman step of
+// src/mdp/bellman.hpp (best_choice over each choice's expectation); the
+// interval engine keeps its own per-block loop because it stops on the
+// bracket gap `hi − lo`, not on a sweep delta.
 //
 // Budgets (src/common/budget.hpp). Every engine polls
 // SolverOptions::budget once per sweep. The bracket entry points degrade

@@ -1,5 +1,6 @@
 #include "src/common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -36,8 +37,12 @@ std::atomic<std::size_t> g_default_override{0};
 }  // namespace
 
 std::size_t hardware_thread_count() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  // Read once: glibc answers hardware_concurrency() by reading
+  // /sys/devices/system/cpu/online, three syscalls that every threads = 0
+  // sweep would otherwise pay.
+  static const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return hw;
 }
 
 std::size_t default_thread_count() {

@@ -4,6 +4,7 @@
 
 #include "src/checker/check.hpp"
 #include "src/checker/reachability.hpp"
+#include "src/mdp/bellman.hpp"
 #include "src/mdp/solver.hpp"
 #include "src/parametric/bounded.hpp"
 #include "src/parametric/state_elimination.hpp"
@@ -123,11 +124,12 @@ RationalFunction parametric_property_function(
     const ParametricDtmc& chain, const Dtmc& base, const StateFormula& property,
     const EliminationOptions& options) {
   require_repairable(property);
+  const CompiledModel compiled = compile(base);
   if (property.kind() == StateFormula::Kind::kProb) {
     const PathFormula& path = property.path();
-    const StateSet goal = satisfying_states(base, path.right());
+    const StateSet goal = satisfying_states(compiled, path.right());
     const StateSet stay = path.kind() == PathFormula::Kind::kUntil
-                              ? satisfying_states(base, path.left())
+                              ? satisfying_states(compiled, path.left())
                               : StateSet(base.num_states(), true);
     if (path.step_bound()) {
       return bounded_until_probability(chain, stay, goal, *path.step_bound(),
@@ -151,7 +153,7 @@ RationalFunction parametric_property_function(
   if (property.reward_path_kind() == StateFormula::RewardPathKind::kCumulative) {
     return cumulative_reward(chain, property.reward_horizon(), options.budget);
   }
-  const StateSet goal = satisfying_states(base, property.reward_target());
+  const StateSet goal = satisfying_states(compiled, property.reward_target());
   return expected_total_reward(chain, goal, options);
 }
 
@@ -445,28 +447,16 @@ EnvelopeRepairResult model_repair_envelope(
 namespace {
 
 /// Greedy policy achieving the given reachability values.
-Policy reachability_policy(const Mdp& mdp, const CompiledModel& model,
-                           const StateSet& goal, Objective objective) {
+Policy reachability_policy(const CompiledModel& model, const StateSet& goal,
+                           Objective objective) {
   const std::vector<double> values = mdp_reachability(model, goal, objective);
   Policy policy;
-  policy.choice_index.assign(mdp.num_states(), 0);
-  for (StateId s = 0; s < mdp.num_states(); ++s) {
-    const auto& choices = mdp.choices(s);
-    double best = 0.0;
-    std::uint32_t best_c = 0;
-    bool first = true;
-    for (std::uint32_t c = 0; c < choices.size(); ++c) {
-      double q = 0.0;
-      for (const Transition& t : choices[c].transitions) {
-        q += t.probability * values[t.target];
-      }
-      if (first || (objective == Objective::kMaximize ? q > best : q < best)) {
-        best = q;
-        best_c = c;
-        first = false;
-      }
-    }
-    policy.choice_index[s] = best_c;
+  policy.choice_index.assign(model.num_states(), 0);
+  for (StateId s = 0; s < model.num_states(); ++s) {
+    policy.choice_index[s] =
+        best_choice(model, s, objective, [&](std::uint32_t c) {
+          return expectation(model, c, values);
+        }).choice;
   }
   return policy;
 }
@@ -487,7 +477,7 @@ Policy property_policy(const Mdp& mdp, const StateFormula& property) {
               "mdp_model_repair: step-bounded paths need a time-varying "
               "policy; repair the induced DTMC directly");
   const StateSet goal = satisfying_states(model, path.right());
-  return reachability_policy(mdp, model, goal, objective);
+  return reachability_policy(model, goal, objective);
 }
 
 bool same_policy(const Policy& a, const Policy& b) {

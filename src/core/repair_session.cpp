@@ -206,9 +206,10 @@ RepairSession::RepairSession(Dtmc structure, StateFormulaPtr property,
               "fixpoint engines");
   // Operand sets are fixed for the whole session: they are label-defined on
   // the structure, and neither learning nor repair touches labels.
-  goal_ = satisfying_states(structure_, path.right());
+  const CompiledModel compiled = compile(structure_);
+  goal_ = satisfying_states(compiled, path.right());
   stay_ = path.kind() == PathFormula::Kind::kUntil
-              ? satisfying_states(structure_, path.left())
+              ? satisfying_states(compiled, path.left())
               : StateSet(structure_.num_states(), true);
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<SessionJournal>(

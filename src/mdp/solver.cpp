@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
-#include "src/common/fault.hpp"
 #include "src/common/matrix.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/stats.hpp"
+#include "src/mdp/bellman.hpp"
 #include "src/mdp/graph.hpp"
 
 namespace tml {
@@ -14,15 +15,6 @@ namespace tml {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Shared recording for every value-iteration style loop (VI/PI variants
-/// report through the same checker-facing metric names).
-void record_vi_stats(std::size_t iterations, double last_delta) {
-  static stats::Counter& c_iters = stats::counter("checker.vi.iterations");
-  static stats::Gauge& g_delta = stats::gauge("checker.vi.last_delta");
-  c_iters.add(iterations);
-  g_delta.set(last_delta);
-}
 
 /// Q-value of global choice c of state s over the CSR columns.
 double choice_q(const CompiledModel& m, StateId s, std::uint32_t c,
@@ -42,16 +34,16 @@ bool better(double a, double b, Objective objective) {
   return objective == Objective::kMaximize ? a > b : a < b;
 }
 
-/// Copies the tracker's exhaustion verdict onto a result. Returns true
-/// when the budget fired (caller stops at this checkpoint).
-bool flag_if_exhausted(const BudgetTracker& tracker, SolveResult* result) {
-  if (tracker.ok()) return false;
-  result->budget_status = BudgetStatus::kBudgetExhausted;
-  result->budget_stop = tracker.stop();
-  return true;
-}
-
 }  // namespace
+
+void require_finished(const SolveResult& result, const char* engine,
+                      std::optional<Bracket> bracket) {
+  if (result.budget_status != BudgetStatus::kBudgetExhausted) return;
+  throw BudgetExhausted(std::string(engine) + ": budget exhausted (" +
+                            to_string(result.budget_stop) + ") after " +
+                            std::to_string(result.iterations) + " sweeps",
+                        result.budget_stop, bracket);
+}
 
 SolveResult value_iteration_discounted(const CompiledModel& model,
                                        double discount, Objective objective,
@@ -60,7 +52,6 @@ SolveResult value_iteration_discounted(const CompiledModel& model,
               "value_iteration_discounted: discount must be in (0,1), got "
                   << discount);
   const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
   SolveResult result;
   result.values.assign(n, 0.0);
   result.policy.choice_index.assign(n, 0);
@@ -72,61 +63,22 @@ SolveResult value_iteration_discounted(const CompiledModel& model,
   if (options.warm != nullptr && options.warm->values.size() == n) {
     result.values = options.warm->values;
   }
-
-  // Jacobi sweeps: every state reads `values` (the previous iterate) and
-  // writes only its own slot of `next` / the policy, so chunks are
-  // independent. The convergence delta is a max-reduction — associativity
-  // free — so the iterate sequence matches the serial solver bit for bit.
-  std::vector<double> next(n, 0.0);
-  double last_delta = 0.0;
-  BudgetTracker tracker(options.budget);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    if (!tracker.tick()) {
-      flag_if_exhausted(tracker, &result);
-      break;
-    }
-    const double delta = parallel_transform_reduce(
-        std::size_t{0}, n, kDefaultGrain, 0.0,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          double local = 0.0;
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            const std::uint32_t begin = row_start[s];
-            const std::uint32_t end = row_start[s + 1];
-            double best = choice_q(model, s, begin, result.values, discount);
-            std::uint32_t best_c = 0;
-            for (std::uint32_t c = begin + 1; c < end; ++c) {
-              const double q = choice_q(model, s, c, result.values, discount);
-              if (better(q, best, objective)) {
-                best = q;
-                best_c = c - begin;
-              }
-            }
-            next[s] = best;
-            result.policy.choice_index[s] = best_c;
-            local = std::max(local, std::abs(next[s] - result.values[s]));
-          }
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); }, options.threads);
-    result.values.swap(next);
-    result.iterations = iter + 1;
-    last_delta = fault::poison("solver.sweep", delta);
-    if (std::isnan(last_delta)) {
-      throw NumericError(
-          "value_iteration_discounted: non-finite sweep delta at iteration " +
-          std::to_string(result.iterations));
-    }
-    if (last_delta < options.tolerance && !fault::fire("checker.converge")) {
-      result.converged = true;
-      break;
-    }
-  }
-  record_vi_stats(result.iterations, last_delta);
-  if (!result.converged && result.budget_status == BudgetStatus::kOk &&
-      options.throw_on_nonconvergence) {
-    throw NumericError("value_iteration_discounted: no convergence after " +
-                       std::to_string(result.iterations) + " iterations");
-  }
+  iterate_to_fixpoint(
+      "value_iteration_discounted", options, &result,
+      [&](std::size_t begin, std::size_t end, std::span<const double> values,
+          std::vector<double>& next) {
+        double local = 0.0;
+        for (StateId s = begin; s < end; ++s) {
+          const BestChoice best =
+              best_choice(model, s, objective, [&](std::uint32_t c) {
+                return choice_q(model, s, c, values, discount);
+              });
+          next[s] = best.value;
+          result.policy.choice_index[s] = best.choice;
+          local = std::max(local, std::abs(next[s] - values[s]));
+        }
+        return local;
+      });
   return result;
 }
 
@@ -143,7 +95,8 @@ SolveResult policy_iteration_discounted(const CompiledModel& model,
   BudgetTracker tracker(options.budget);
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     if (!tracker.tick()) {
-      flag_if_exhausted(tracker, &result);
+      result.budget_status = BudgetStatus::kBudgetExhausted;
+      result.budget_stop = tracker.stop();
       if (result.values.empty()) {
         // Budget fired before the first evaluation: still return a
         // well-formed (all-zero) value vector for the initial policy.
@@ -202,7 +155,6 @@ SolveResult total_reward_to_target(const CompiledModel& model,
   TML_REQUIRE(targets.size() == model.num_states(),
               "total_reward_to_target: target set size mismatch");
   const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
 
   // Finite-value region: Rmin needs some scheduler reaching almost surely
   // (Prob1E, the Pmax one-set); Rmax needs all schedulers reaching almost
@@ -222,66 +174,27 @@ SolveResult total_reward_to_target(const CompiledModel& model,
     if (targets[s]) result.values[s] = 0.0;
   }
 
-  std::vector<double> next = result.values;
-  double last_delta = 0.0;
-  BudgetTracker tracker(options.budget);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    if (!tracker.tick()) {
-      flag_if_exhausted(tracker, &result);
-      break;
-    }
-    const double delta = parallel_transform_reduce(
-        std::size_t{0}, n, kDefaultGrain, 0.0,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          double local = 0.0;
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
-            if (targets[s] || !finite[s]) continue;
-            const std::uint32_t begin = row_start[s];
-            const std::uint32_t end = row_start[s + 1];
-            double best =
-                kInf * (objective == Objective::kMinimize ? 1.0 : -1.0);
-            std::uint32_t best_c = result.policy.choice_index[s];
-            bool any = false;
-            for (std::uint32_t c = begin; c < end; ++c) {
-              const double q = choice_q(model, s, c, result.values, 1.0);
-              if (!any || better(q, best, objective)) {
-                best = q;
-                best_c = c - begin;
-                any = true;
-              }
-            }
-            next[s] = best;
-            result.policy.choice_index[s] = best_c;
-            if (std::isfinite(best) && std::isfinite(result.values[s])) {
-              local = std::max(local, std::abs(next[s] - result.values[s]));
-            } else if (std::isinf(best) != std::isinf(result.values[s])) {
-              local = kInf;
-            }
+  iterate_to_fixpoint(
+      "total_reward_to_target", options, &result,
+      [&](std::size_t begin, std::size_t end, std::span<const double> values,
+          std::vector<double>& next) {
+        double local = 0.0;
+        for (StateId s = begin; s < end; ++s) {
+          if (targets[s] || !finite[s]) continue;
+          const BestChoice best =
+              best_choice(model, s, objective, [&](std::uint32_t c) {
+                return choice_q(model, s, c, values, 1.0);
+              });
+          next[s] = best.value;
+          result.policy.choice_index[s] = best.choice;
+          if (std::isfinite(best.value) && std::isfinite(values[s])) {
+            local = std::max(local, std::abs(next[s] - values[s]));
+          } else if (std::isinf(best.value) != std::isinf(values[s])) {
+            local = kInf;
           }
-          return local;
-        },
-        [](double a, double b) { return std::max(a, b); }, options.threads);
-    result.values.swap(next);
-    result.iterations = iter + 1;
-    // +Inf deltas are expected while infinite-value information propagates;
-    // NaN never is (it would silently burn max_iterations).
-    last_delta = fault::poison("solver.sweep", delta);
-    if (std::isnan(last_delta)) {
-      throw NumericError(
-          "total_reward_to_target: NaN sweep delta at iteration " +
-          std::to_string(result.iterations));
-    }
-    if (last_delta < options.tolerance && !fault::fire("checker.converge")) {
-      result.converged = true;
-      break;
-    }
-  }
-  record_vi_stats(result.iterations, last_delta);
-  if (!result.converged && result.budget_status == BudgetStatus::kOk &&
-      options.throw_on_nonconvergence) {
-    throw NumericError("total_reward_to_target: no convergence after " +
-                       std::to_string(result.iterations) + " iterations");
-  }
+        }
+        return local;
+      });
   return result;
 }
 

@@ -7,6 +7,11 @@
 //  * undiscounted expected total reward until absorption in a target set
 //    (stochastic shortest path), used by the WSN `R{attempts}` property.
 //
+// Both value iterations are the shared Bellman step (best_choice over a
+// per-choice Q-value) on the shared delta-stopped convergence driver
+// (iterate_to_fixpoint), both in src/mdp/bellman.hpp — the driver that
+// robust interval-MDP reachability runs on too.
+//
 // The prob0/prob1 precomputation lives in src/mdp/graph (reach_prob01);
 // the PCTL-specific machinery (bounded until, until/reachability
 // operators) lives in src/checker; this module is the plain
@@ -99,6 +104,8 @@ struct SolverOptions {
   /// the sweep boundary and returns its current iterate flagged
   /// `budget_status = kBudgetExhausted` instead of throwing — under the
   /// interval engine the returned lo/hi bracket is still certified sound.
+  /// Entry points returning a bare vector (mdp_reachability,
+  /// interval_reachability) throw BudgetExhausted instead.
   Budget budget = default_budget();
   /// Optional warm-start seed (non-owning; must outlive the call). nullptr
   /// = cold start. See WarmStart for the caller contract and the per-block
@@ -130,6 +137,12 @@ struct SolveResult {
   StateSet zero;
   StateSet one;
 };
+
+/// For thin entry points that return a bare vector: throws BudgetExhausted,
+/// carrying `bracket`, when the solve behind `result` stopped on its budget
+/// rather than finishing.
+void require_finished(const SolveResult& result, const char* engine,
+                      std::optional<Bracket> bracket = std::nullopt);
 
 /// Discounted value iteration: V(s) = opt_a [ r(s) + r(s,a) + γ Σ P V ].
 /// `discount` must lie in (0, 1).

@@ -3,6 +3,9 @@
 // [26]) — including the policy-invariance theorem that separates shaping
 // from Reward Repair.
 
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/casestudies/car.hpp"
@@ -23,24 +26,35 @@ Mdp split_mdp(double p_goal) {
   return mdp;
 }
 
+/// resolve_polytope over an index-aligned box, copied out of the scratch.
+std::vector<double> resolve(const std::vector<StateId>& targets,
+                            const std::vector<double>& lower,
+                            const std::vector<double>& upper,
+                            const std::vector<double>& values, bool maximize) {
+  PolytopeScratch scratch;
+  const std::span<const double> p =
+      resolve_polytope({targets, lower, upper}, values, maximize, scratch);
+  return {p.begin(), p.end()};
+}
+
 TEST(ResolvePolytope, SpendsBudgetOnBestSuccessors) {
-  const std::vector<IntervalTransition> transitions{
-      {0, 0.2, 0.6}, {1, 0.2, 0.6}};
+  const std::vector<StateId> targets{0, 1};
+  const std::vector<double> lower{0.2, 0.2};
+  const std::vector<double> upper{0.6, 0.6};
   const std::vector<double> values{1.0, 0.0};
   const std::vector<double> maxed =
-      resolve_polytope(transitions, values, /*maximize=*/true);
+      resolve(targets, lower, upper, values, /*maximize=*/true);
   EXPECT_NEAR(maxed[0], 0.6, 1e-12);
   EXPECT_NEAR(maxed[1], 0.4, 1e-12);
   const std::vector<double> minned =
-      resolve_polytope(transitions, values, /*maximize=*/false);
+      resolve(targets, lower, upper, values, /*maximize=*/false);
   EXPECT_NEAR(minned[0], 0.4, 1e-12);
   EXPECT_NEAR(minned[1], 0.6, 1e-12);
 }
 
 TEST(ResolvePolytope, DegenerateIntervalIsExact) {
-  const std::vector<IntervalTransition> transitions{{0, 1.0, 1.0}};
   const std::vector<double> values{0.5};
-  const std::vector<double> p = resolve_polytope(transitions, values, true);
+  const std::vector<double> p = resolve({0}, {1.0}, {1.0}, values, true);
   EXPECT_NEAR(p[0], 1.0, 1e-12);
 }
 
@@ -48,11 +62,14 @@ TEST(IntervalMdp, WidenRespectsBoundsAndValidates) {
   const Mdp nominal = split_mdp(0.5);
   const IntervalMdp widened = IntervalMdp::widen(nominal, 0.1);
   EXPECT_NO_THROW(widened.validate());
-  const auto& c = widened.choices(0)[0];
-  EXPECT_NEAR(c.transitions[0].lower, 0.4, 1e-12);
-  EXPECT_NEAR(c.transitions[0].upper, 0.6, 1e-12);
+  // Bounds are CSR columns aligned with the nominal model's prob().
+  const CompiledModel& core = widened.nominal();
+  const std::uint32_t k0 = core.choice_start()[core.first_choice(0)];
+  EXPECT_NEAR(widened.lower()[k0], 0.4, 1e-12);
+  EXPECT_NEAR(widened.upper()[k0], 0.6, 1e-12);
   // Singleton rows stay exact.
-  EXPECT_NEAR(widened.choices(1)[0].transitions[0].lower, 1.0, 1e-12);
+  const std::uint32_t k1 = core.choice_start()[core.first_choice(1)];
+  EXPECT_NEAR(widened.lower()[k1], 1.0, 1e-12);
   EXPECT_THROW(IntervalMdp::widen(nominal, -0.1), Error);
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/checker/interval.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/common/fault.hpp"
 #include "src/checker/smc.hpp"
@@ -311,6 +312,35 @@ TEST_F(BudgetTest, DiscountedSolverFlagsPartial) {
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 3u);
   EXPECT_EQ(result.values.size(), model.num_states());
+}
+
+TEST_F(BudgetTest, RobustReachabilityThrowsTypedOnIterationCap) {
+  const IntervalMdp widened = IntervalMdp::widen(slow_walk(), 0.01);
+  const StateSet targets = goal_targets(widened.nominal());
+  SolverOptions options;
+  options.budget = iteration_cap(3);  // the walk needs hundreds of sweeps
+  try {
+    (void)interval_reachability(widened, targets, Objective::kMaximize,
+                                Nature::kAdversarial, options);
+    FAIL() << "iteration-capped interval_reachability did not throw";
+  } catch (const BudgetExhausted& e) {
+    EXPECT_EQ(e.stop(), BudgetStop::kIterationCap);
+  }
+}
+
+TEST_F(BudgetTest, RobustReachabilityThrowsTypedOnCancel) {
+  const IntervalMdp widened = IntervalMdp::widen(slow_walk(), 0.01);
+  const StateSet targets = goal_targets(widened.nominal());
+  SolverOptions options;
+  options.budget = Budget{};  // own token, not the process default's
+  options.budget.cancel.cancel();
+  try {
+    (void)interval_reachability(widened, targets, Objective::kMaximize,
+                                Nature::kCooperative, options);
+    FAIL() << "cancelled interval_reachability did not throw";
+  } catch (const BudgetExhausted& e) {
+    EXPECT_EQ(e.stop(), BudgetStop::kCancelled);
+  }
 }
 
 TEST_F(BudgetTest, BoundedUntilThrowsOnExpiredDeadline) {

@@ -53,7 +53,8 @@ TEST(DtmcChecker, BooleanCombinators) {
 
 TEST(DtmcChecker, SatStatesOfLabel) {
   const Dtmc chain = coin_chain();
-  const StateSet sat = satisfying_states(chain, *parse_pctl("\"goal\""));
+  const StateSet sat =
+      satisfying_states(compile(chain), *parse_pctl("\"goal\""));
   EXPECT_EQ(count(sat), 1u);
   EXPECT_TRUE(sat[3]);
 }
@@ -82,7 +83,7 @@ TEST(DtmcChecker, NextOperator) {
   EXPECT_NEAR(*r.value, 0.5, 1e-12);
   // From heads, next is goal with probability 1.
   const StateSet sat =
-      satisfying_states(chain, *parse_pctl("P>=1 [ X \"goal\" ]"));
+      satisfying_states(compile(chain), *parse_pctl("P>=1 [ X \"goal\" ]"));
   EXPECT_TRUE(sat[1]);
   EXPECT_FALSE(sat[0]);
 }
@@ -165,19 +166,21 @@ TEST(DtmcChecker, NestedProbabilisticOperator) {
 
 TEST(DtmcChecker, QuantitativeQueryHasNoSatSet) {
   const Dtmc chain = coin_chain();
-  EXPECT_THROW(satisfying_states(chain, *parse_pctl("P=? [ F \"goal\" ]")),
-               Error);
+  EXPECT_THROW(
+      satisfying_states(compile(chain), *parse_pctl("P=? [ F \"goal\" ]")),
+      Error);
 }
 
 TEST(DtmcChecker, QuantitativeValuesRequireOperator) {
   const Dtmc chain = coin_chain();
-  EXPECT_THROW(quantitative_values(chain, *parse_pctl("\"goal\"")), Error);
+  EXPECT_THROW(
+      quantitative_values(compile(chain), *parse_pctl("\"goal\"")), Error);
 }
 
 TEST(DtmcChecker, ValuesVectorPerState) {
   const Dtmc chain = split_chain();
   const std::vector<double> v =
-      quantitative_values(chain, *parse_pctl("P=? [ F \"goal\" ]"));
+      quantitative_values(compile(chain), *parse_pctl("P=? [ F \"goal\" ]"));
   ASSERT_EQ(v.size(), 3u);
   EXPECT_NEAR(v[0], 0.3, 1e-12);
   EXPECT_NEAR(v[1], 1.0, 1e-12);

@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/checker/interval.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/budget.hpp"
@@ -133,6 +134,27 @@ TEST_F(FaultTest, SolverSweepNanIsTypedNumericError) {
   EXPECT_THROW((void)value_iteration_discounted(model, 0.9,
                                                 Objective::kMaximize),
                NumericError);
+}
+
+TEST_F(FaultTest, RobustSweepNanIsTypedNumericError) {
+  // The robust engine runs on the same convergence driver as VI: a NaN
+  // sweep delta throws at once instead of burning max_iterations.
+  fault::arm("solver.sweep", "nan");
+  const Mdp walk = ruin_walk().as_mdp();
+  const IntervalMdp widened = IntervalMdp::widen(walk, 0.05);
+  SolverOptions options;
+  options.max_iterations = 1000;
+  try {
+    (void)interval_reachability(widened, walk.states_with_label("goal"),
+                                Objective::kMaximize, Nature::kAdversarial,
+                                options);
+    FAIL() << "poisoned interval_reachability did not throw";
+  } catch (const NumericError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite sweep delta"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fault::hits("solver.sweep"), 1u);
 }
 
 TEST_F(FaultTest, CheckerSweepNanIsTypedNumericError) {

@@ -226,7 +226,7 @@ TEST_P(FuzzSmcDifferential, BoundedGloballyMatchesExactChecker) {
   const StateFormulaPtr query = pctl::prob_query(
       Quantifier::kMax, pctl::globally(pctl::label("a"), 6));
   const double exact =
-      quantitative_values(chain, *query)[chain.initial_state()];
+      quantitative_values(compile(chain), *query)[chain.initial_state()];
   SmcOptions options;
   options.epsilon = 0.02;
   options.delta = 0.02;
@@ -265,21 +265,22 @@ class FuzzSemantics : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzSemantics, CheckerLawsOnRandomChains) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 97 + 11);
   const Dtmc chain = random_chain(rng, 4 + rng.index(5));
+  const CompiledModel model = compile(chain);
 
   // Law 1: Sat(¬φ) is the complement of Sat(φ).
   for (int i = 0; i < 5; ++i) {
     const StateFormulaPtr f = random_state_formula(rng, 2);
-    const StateSet sat = satisfying_states(chain, *f);
-    const StateSet neg = satisfying_states(chain, *pctl::negation(f));
+    const StateSet sat = satisfying_states(model, *f);
+    const StateSet neg = satisfying_states(model, *pctl::negation(f));
     EXPECT_EQ(neg, complement(sat));
   }
 
   // Law 2: P(F φ) = P(true U φ) (state-by-state).
   const StateFormulaPtr target = random_state_formula(rng, 1);
   const std::vector<double> ev = quantitative_values(
-      chain, *pctl::prob_query(Quantifier::kMax, pctl::eventually(target)));
+      model, *pctl::prob_query(Quantifier::kMax, pctl::eventually(target)));
   const std::vector<double> un = quantitative_values(
-      chain,
+      model,
       *pctl::prob_query(Quantifier::kMax, pctl::until(pctl::truth(), target)));
   for (std::size_t s = 0; s < ev.size(); ++s) {
     EXPECT_NEAR(ev[s], un[s], 1e-9);
@@ -287,9 +288,9 @@ TEST_P(FuzzSemantics, CheckerLawsOnRandomChains) {
 
   // Law 3: P(G φ) + P(F ¬φ) = 1.
   const std::vector<double> g = quantitative_values(
-      chain, *pctl::prob_query(Quantifier::kMax, pctl::globally(target)));
+      model, *pctl::prob_query(Quantifier::kMax, pctl::globally(target)));
   const std::vector<double> f_neg = quantitative_values(
-      chain, *pctl::prob_query(Quantifier::kMax,
+      model, *pctl::prob_query(Quantifier::kMax,
                                pctl::eventually(pctl::negation(target))));
   for (std::size_t s = 0; s < g.size(); ++s) {
     EXPECT_NEAR(g[s] + f_neg[s], 1.0, 1e-9);
@@ -300,10 +301,10 @@ TEST_P(FuzzSemantics, CheckerLawsOnRandomChains) {
   const StateFormulaPtr stay = random_state_formula(rng, 1);
   double previous = -1.0;
   const std::vector<double> unbounded = quantitative_values(
-      chain, *pctl::prob_query(Quantifier::kMax, pctl::until(stay, target)));
+      model, *pctl::prob_query(Quantifier::kMax, pctl::until(stay, target)));
   for (const std::size_t k : {0u, 1u, 2u, 4u, 8u, 32u}) {
     const std::vector<double> bounded = quantitative_values(
-        chain,
+        model,
         *pctl::prob_query(Quantifier::kMax, pctl::until(stay, target, k)));
     EXPECT_GE(bounded[chain.initial_state()], previous - 1e-12);
     EXPECT_LE(bounded[chain.initial_state()],

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/casestudies/generator.hpp"
+#include "src/checker/interval.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/rng.hpp"
 #include "src/logic/parser.hpp"
@@ -237,6 +239,37 @@ TEST(SmcParallel, IndecisiveRunReportsZeroDecidedAfter) {
   const SmcResult result = smc_check(chain, *f, options);
   EXPECT_FALSE(result.decisive);
   EXPECT_EQ(result.decided_after, 0u);
+}
+
+TEST(RobustParallel, BitwiseIdenticalAcrossThreadCounts) {
+  // A 20x20 grid robot with hazards: 400 states, seven 64-state sweep
+  // chunks, each resolving its polytopes in its own scratch buffer.
+  GeneratorSpec spec;
+  spec.family = GeneratorFamily::kGridRobot;
+  spec.size = 20;
+  spec.hazard_density = 0.05;
+  const Mdp grid = generate_grid_robot(spec);
+  ASSERT_GE(grid.num_states(), 400u);
+  const IntervalMdp widened = IntervalMdp::widen(grid, 0.01);
+  const StateSet goal = grid.states_with_label("goal");
+  for (const Nature nature : {Nature::kAdversarial, Nature::kCooperative}) {
+    SolverOptions options;
+    options.threads = 1;
+    const std::vector<double> reference = interval_reachability(
+        widened, goal, Objective::kMaximize, nature, options);
+    for (const std::size_t threads : {2u, 4u, 7u}) {
+      options.threads = threads;
+      const std::vector<double> values = interval_reachability(
+          widened, goal, Objective::kMaximize, nature, options);
+      ASSERT_EQ(values.size(), reference.size());
+      for (StateId s = 0; s < values.size(); ++s) {
+        ASSERT_EQ(values[s], reference[s])
+            << "state " << s << ", " << threads << " threads, "
+            << (nature == Nature::kAdversarial ? "adversarial"
+                                               : "cooperative");
+      }
+    }
+  }
 }
 
 Problem two_basin_problem() {

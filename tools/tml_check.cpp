@@ -483,7 +483,7 @@ int main(int argc, char** argv) {
         !formula->path().step_bound()) {
       const Dtmc chain = model.dtmc();
       const StateSet targets =
-          satisfying_states(chain, formula->path().right());
+          satisfying_states(compile(chain), formula->path().right());
       const Counterexample ce =
           strongest_evidence(chain, targets, formula->bound());
       std::cout << ce.to_string(chain);
