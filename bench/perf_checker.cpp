@@ -1,19 +1,12 @@
 // Microbenchmarks: PCTL model checking throughput on grid models of
-// growing size (DTMC linear-solve engine and MDP value-iteration engine).
-//
-// The BM_GridReachability{Nested,Compiled} pair measures the compiled CSR
-// core against the pre-refactor nested-vector pipeline (kept inline here as
-// a reference fixture — the library itself no longer has a nested path).
+// growing size (DTMC sparse direct solve and MDP value-iteration engine).
 
 #include <benchmark/benchmark.h>
-
-#include <deque>
 
 #include "src/casestudies/wsn.hpp"
 #include "src/checker/check.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
-#include "src/common/matrix.hpp"
 #include "src/common/parallel.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/compiled.hpp"
@@ -88,88 +81,6 @@ Dtmc leaky_grid_chain(std::size_t n) {
   chain.add_label(id(n - 1, n - 1), "goal");
   return chain;
 }
-
-// --- nested-vector reference pipeline (pre-refactor reachability path) ----
-
-std::vector<std::vector<StateId>> nested_predecessors(const Dtmc& chain) {
-  std::vector<std::vector<StateId>> preds(chain.num_states());
-  for (StateId s = 0; s < chain.num_states(); ++s) {
-    for (const Transition& t : chain.transitions(s)) {
-      if (t.probability > 0.0) preds[t.target].push_back(s);
-    }
-  }
-  return preds;
-}
-
-StateSet nested_backward_closure(const Dtmc& chain, const StateSet& seeds,
-                                 const StateSet* blocked) {
-  const auto preds = nested_predecessors(chain);
-  StateSet reached = seeds;
-  std::deque<StateId> queue;
-  for (StateId s = 0; s < seeds.size(); ++s) {
-    if (seeds[s]) queue.push_back(s);
-  }
-  while (!queue.empty()) {
-    const StateId s = queue.front();
-    queue.pop_front();
-    for (StateId p : preds[s]) {
-      if (!reached[p] && (blocked == nullptr || !(*blocked)[p])) {
-        reached[p] = true;
-        queue.push_back(p);
-      }
-    }
-  }
-  return reached;
-}
-
-std::vector<double> nested_dtmc_reachability(const Dtmc& chain,
-                                             const StateSet& targets) {
-  const std::size_t n = chain.num_states();
-  // Pre-refactor structure: predecessor lists are rebuilt for each closure.
-  const StateSet zero = complement(nested_backward_closure(chain, targets,
-                                                           nullptr));
-  const StateSet one =
-      complement(nested_backward_closure(chain, zero, &targets));
-  std::vector<int> index(n, -1);
-  std::vector<StateId> unknowns;
-  for (StateId s = 0; s < n; ++s) {
-    if (!zero[s] && !one[s]) {
-      index[s] = static_cast<int>(unknowns.size());
-      unknowns.push_back(s);
-    }
-  }
-  std::vector<double> values(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (one[s]) values[s] = 1.0;
-  }
-  if (unknowns.empty()) return values;
-  Matrix a = Matrix::identity(unknowns.size());
-  std::vector<double> b(unknowns.size(), 0.0);
-  for (std::size_t i = 0; i < unknowns.size(); ++i) {
-    for (const Transition& t : chain.transitions(unknowns[i])) {
-      if (one[t.target]) {
-        b[i] += t.probability;
-      } else if (!zero[t.target]) {
-        a(i, static_cast<std::size_t>(index[t.target])) -= t.probability;
-      }
-    }
-  }
-  const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
-  for (std::size_t i = 0; i < unknowns.size(); ++i) values[unknowns[i]] = x[i];
-  return values;
-}
-
-/// Pre-refactor pipeline: walk the builder's nested vectors directly.
-void BM_GridReachabilityNested(benchmark::State& state) {
-  const Dtmc chain = grid_chain(static_cast<std::size_t>(state.range(0)));
-  const StateSet goal = chain.states_with_label("goal");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nested_dtmc_reachability(chain, goal));
-  }
-  state.SetComplexityN(state.range(0) * state.range(0));
-}
-BENCHMARK(BM_GridReachabilityNested)->Arg(4)->Arg(8)->Arg(16)->Arg(24)
-    ->Arg(32)->Complexity(benchmark::oAuto);
 
 /// Compiled CSR pipeline, including the compile() step per query.
 void BM_GridReachabilityCompiled(benchmark::State& state) {

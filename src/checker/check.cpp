@@ -55,10 +55,10 @@ StateSet meets_bound(const std::vector<double>& values,
 // ---------------------------------------------------------------------------
 // Checker over the compiled CSR form — the one place that maps a formula to
 // an engine. One class serves both model kinds. The unbounded primitives
-// dispatch on CompiledModel::deterministic(): DTMCs get the exact
-// linear-system engines, MDPs qualitative precomputation plus sound
-// interval iteration (P) or value iteration (R). The step-bounded and
-// cumulative sweeps are shared: a DTMC row is a single choice.
+// dispatch on CompiledModel::deterministic(): DTMCs get the sparse direct
+// solves, MDPs qualitative precomputation plus sound interval iteration (P)
+// or value iteration (R). The step-bounded and cumulative sweeps are
+// shared: a DTMC row is a single choice.
 
 class Checker {
  public:
@@ -111,7 +111,7 @@ class Checker {
     }
     const Objective objective = resolve_objective(formula);
     return prob ? prob_values(formula.path(), objective, bracket)
-                : reward_values(formula, objective);
+                : reward_values(formula, objective, bracket);
   }
 
  private:
@@ -124,18 +124,22 @@ class Checker {
     return solver;
   }
 
-  /// Unbounded P[stay U goal]. On an MDP the values are the interval
-  /// engine's clamped bracket midpoints; `bracket` (when non-null) receives
-  /// the initial-state [lo, hi], mirrored to [1−hi, 1−lo] when the caller
-  /// reports 1 − value (`mirror`, for G). A budget stop throws
-  /// BudgetExhausted carrying that same bracket.
+  /// Unbounded P[stay U goal]. On a DTMC the values are the sparse direct
+  /// solve's, on an MDP the interval engine's clamped bracket midpoints;
+  /// `bracket` (when non-null) receives either engine's certified
+  /// initial-state [lo, hi], mirrored to [1−hi, 1−lo] when the caller
+  /// reports 1 − value (`mirror`, for G). An MDP budget stop throws
+  /// BudgetExhausted carrying that same bracket; the DTMC factorization
+  /// throws it without one.
   std::vector<double> until(const StateSet& stay, const StateSet& goal,
                             Objective objective,
                             std::optional<Bracket>* bracket,
                             bool mirror = false) {
-    if (model_.deterministic()) return dtmc_until(model_, stay, goal);
     SolveResult result =
-        mdp_until_bracket(model_, stay, goal, objective, solver_options());
+        model_.deterministic()
+            ? dtmc_until_bracket(model_, stay, goal, solver_options())
+            : mdp_until_bracket(model_, stay, goal, objective,
+                                solver_options());
     const StateId init = model_.initial_state();
     Bracket reached{result.lo[init], result.hi[init], result.iterations};
     if (mirror) reached = {1.0 - reached.hi, 1.0 - reached.lo, reached.sweeps};
@@ -169,8 +173,19 @@ class Checker {
     return values;
   }
 
-  std::vector<double> reach_reward(const StateSet& goal, Objective objective) {
-    if (model_.deterministic()) return dtmc_total_reward(model_, goal);
+  /// Unbounded R[F goal]. On a DTMC, `bracket` (when non-null) receives the
+  /// direct solve's certified initial-state bracket; MDP rewards have none.
+  std::vector<double> reach_reward(const StateSet& goal, Objective objective,
+                                   std::optional<Bracket>* bracket) {
+    if (model_.deterministic()) {
+      SolveResult result =
+          dtmc_total_reward_bracket(model_, goal, solver_options());
+      if (bracket != nullptr) {
+        const StateId init = model_.initial_state();
+        *bracket = Bracket{result.lo[init], result.hi[init], 0};
+      }
+      return std::move(result.values);
+    }
     SolveResult result =
         total_reward_to_target(model_, goal, objective, solver_options());
     require_finished(result, "total_reward_to_target");
@@ -215,10 +230,11 @@ class Checker {
   }
 
   std::vector<double> reward_values(const StateFormula& formula,
-                                    Objective objective) {
+                                    Objective objective,
+                                    std::optional<Bracket>* bracket) {
     if (formula.reward_path_kind() ==
         StateFormula::RewardPathKind::kReachability) {
-      return reach_reward(sat(formula.reward_target()), objective);
+      return reach_reward(sat(formula.reward_target()), objective, bracket);
     }
     return cumulative_reward(formula.reward_horizon(), objective);
   }

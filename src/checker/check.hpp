@@ -1,7 +1,8 @@
 // PCTL model checking for DTMCs and MDPs.
 //
-// DTMC engine: exact linear-system solves (Gaussian elimination) after
-// prob0/prob1 graph precomputation for unbounded P and R operators.
+// DTMC engine: one sparse direct solve (RCM-ordered envelope LU, see
+// src/mdp/solver.hpp) after prob0/prob1 graph precomputation for unbounded
+// P and R operators, with a certified residual bracket.
 //
 // MDP engine: PRISM-style — qualitative precomputation (Prob0A/Prob1E for
 // max, Prob0E/Prob1A for min) followed by sound interval iteration for
@@ -15,9 +16,10 @@
 // override that resolution.
 //
 // This module alone maps a formula to an engine. check() solves a top-level
-// P/R operator once and reads value, verdict and (unbounded MDP P) the
-// certified CheckResult::bracket off that solve; a budget stop throws
-// BudgetExhausted carrying the bracket reached so far.
+// P/R operator once and reads value, verdict and (unbounded P on either
+// model kind, unbounded R on a DTMC) the certified CheckResult::bracket off
+// that solve; a budget stop throws BudgetExhausted, carrying the bracket
+// reached so far where the engine has one (the MDP interval engine).
 //
 // Reward operators follow PRISM semantics: `R[F φ]` is the expected reward
 // accumulated *before* entering a φ-state, and paths that never reach φ
@@ -38,9 +40,9 @@ namespace tml {
 /// default_budget() — fine for a CLI run, but racy for a server handling
 /// concurrent requests with different deadlines; such callers pass an
 /// explicit CheckOptions instead. The budget and thread count are threaded
-/// into every solver the formula's operators reach (the exact DTMC
-/// linear-solve engines are direct eliminations with no iteration boundary
-/// to poll and run un-budgeted).
+/// into every solver the formula's operators reach (the DTMC direct solves
+/// poll the budget every EnvelopeLU::kColumnsPerTick columns of their
+/// factorization).
 struct CheckOptions {
   Budget budget = default_budget();
   /// Worker threads for the bounded/cumulative sweeps (0 = TML_THREADS).

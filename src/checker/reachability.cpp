@@ -576,10 +576,12 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
       });
 }
 
-std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
-                               const StateSet& goal) {
+SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
+                               const StateSet& goal,
+                               const SolverOptions& options) {
   const auto absorbed = absorb_escape_states(model, stay, goal);
-  return dtmc_reachability(absorbed ? *absorbed : model, goal);
+  return dtmc_reachability_bracket(absorbed ? *absorbed : model, goal,
+                                   options);
 }
 
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,

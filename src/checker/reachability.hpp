@@ -72,9 +72,11 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
                                       const Budget* budget = nullptr);
 
 /// Unbounded constrained reachability P[ stay U goal ] for DTMCs, by making
-/// the escape region absorbing and running linear-system reachability.
-std::vector<double> dtmc_until(const CompiledModel& model, const StateSet& stay,
-                               const StateSet& goal);
+/// the escape region absorbing and running dtmc_reachability_bracket (one
+/// sparse direct solve with its certified bracket; the budget throws).
+SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
+                               const StateSet& goal,
+                               const SolverOptions& options = {});
 
 /// Expected cumulative reward over the first `horizon` steps (DTMCs and
 /// MDPs alike; see mdp_bounded_until).

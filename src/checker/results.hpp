@@ -25,10 +25,12 @@ struct CheckResult {
   StateSet sat_states;
   std::optional<double> value;
   std::vector<double> values;
-  /// Certified `[lo, hi]` around `value` from the same solve: the interval
-  /// engine's initial-state bracket for a top-level unbounded P (F, U, and
-  /// G mirrored as [1−hi, 1−lo]; `=?` and `⋈b`) on an MDP. Empty where no
-  /// engine certifies one yet (DTMC, R, step-bounded, next). A budget stop
+  /// Certified `[lo, hi]` around `value` from the same solve, at the
+  /// initial state: for a top-level unbounded P (F, U, and G mirrored as
+  /// [1−hi, 1−lo]; `=?` and `⋈b`), the interval engine's bracket on an MDP
+  /// and the direct solve's residual bracket on a DTMC; for a top-level
+  /// unbounded R[F] on a DTMC, the direct solve's. Empty where no engine
+  /// certifies one yet (MDP R, step-bounded, next). An MDP budget stop
   /// carries it on the thrown BudgetExhausted instead.
   std::optional<Bracket> bracket;
   /// Number of states the solvers actually ran on when the check went

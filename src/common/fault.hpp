@@ -36,6 +36,7 @@
 //   TML_FAULT=checker.sweep:nan            poison with NaN on every call
 //   TML_FAULT=opt.eval:inf@8               first 8 calls clean, then Inf
 //   TML_FAULT=parametric.pivot:on          force the failure branch
+//   TML_FAULT=solver.pivot:on              fail the DTMC solve's pivot
 //   TML_FAULT=budget.clock:skew=86400e9    skew the budget clock (ns)
 //   TML_FAULT=serve.write:short            every send truncates to 1 byte
 //   TML_FAULT=serve.read:drop@4            4 clean reads, then disconnect
@@ -47,9 +48,9 @@
 // single-threaded loop; hit counts are queryable via `hits(site)`.
 //
 // Known sites (grep for the string literals): checker.sweep,
-// checker.converge, solver.sweep, opt.eval, parametric.pivot, smc.sample,
-// irl.gradient, budget.clock; wire-level: serve.accept, serve.read,
-// serve.write, serve.parse, session.journal_write.
+// checker.converge, solver.sweep, solver.pivot, opt.eval, parametric.pivot,
+// smc.sample, irl.gradient, budget.clock; wire-level: serve.accept,
+// serve.read, serve.write, serve.parse, session.journal_write.
 
 #pragma once
 

@@ -1,10 +1,12 @@
 // Small dense linear-algebra helpers.
 //
-// The model checker's linear-system engine and the IRL module need dense
-// vectors and (for moderate state counts) dense matrices with a direct
-// solver. This is intentionally minimal: row-major storage, Gaussian
-// elimination with partial pivoting, and the handful of BLAS-1 style
-// helpers used across the library.
+// The dense vector helpers serve the IRL and optimization modules. The dense
+// matrix and its direct solver serve the steady-state analysis's BSCC
+// systems and the test references only: the model checker's one-choice
+// systems (DTMC P[F]/R[F], policy evaluation) use the sparse envelope LU of
+// src/mdp/solver.hpp. This is intentionally minimal: row-major storage,
+// Gaussian elimination with partial pivoting, and the handful of BLAS-1
+// style helpers used across the library.
 
 #pragma once
 

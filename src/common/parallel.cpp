@@ -231,11 +231,13 @@ ThreadPool& ThreadPool::global() {
 
 namespace detail {
 
-void run_chunks(std::size_t num_chunks, std::size_t threads,
+void run_chunks(std::size_t num_chunks, std::size_t grain, std::size_t threads,
                 const std::function<void(std::size_t)>& chunk_fn) {
   if (num_chunks == 0) return;
   const std::size_t resolved = resolve_thread_count(threads);
-  if (resolved <= 1 || num_chunks == 1) {
+  const std::size_t min_chunks =
+      grain == kDefaultGrain ? kMinParallelChunks : 2;
+  if (resolved <= 1 || num_chunks < min_chunks) {
     for (std::size_t c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }

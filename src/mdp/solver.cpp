@@ -1,10 +1,11 @@
 #include "src/mdp/solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 
-#include "src/common/matrix.hpp"
+#include "src/common/fault.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/stats.hpp"
 #include "src/mdp/bellman.hpp"
@@ -15,6 +16,7 @@ namespace tml {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 /// Q-value of global choice c of state s over the CSR columns.
 double choice_q(const CompiledModel& m, StateId s, std::uint32_t c,
@@ -32,6 +34,114 @@ double choice_q(const CompiledModel& m, StateId s, std::uint32_t c,
 
 bool better(double a, double b, Objective objective) {
   return objective == Objective::kMaximize ? a > b : a < b;
+}
+
+/// Global choice of each state of a DTMC (its only one).
+std::span<const std::uint32_t> dtmc_rows(const CompiledModel& model) {
+  return std::span<const std::uint32_t>(model.row_start())
+      .first(model.num_states());
+}
+
+/// Solves the one-choice system x_s = r_s + γ·Σ_t P(t|choice[s])·x_t for
+/// the states in `unknowns`, where r_s is the state plus choice reward when
+/// `rewards` (else 0) and every successor outside `unknowns` contributes
+/// its fixed entry of `values`. The matrix I − γ·P over the unknowns must
+/// be a nonsingular M-matrix: the unknowns transient, or γ < 1. Returns
+/// `values` with the solution written in. With `certify`, lo/hi carry the
+/// bracket documented at dtmc_reachability_bracket (±inf where the check
+/// on h fails; exact outside the unknowns).
+SolveResult solve_one_choice(const CompiledModel& model,
+                             std::span<const std::uint32_t> choice,
+                             const std::vector<StateId>& unknowns,
+                             std::vector<double> values, bool rewards,
+                             double discount, const Budget& budget,
+                             bool certify) {
+  const auto& choice_start = model.choice_start();
+  const auto& target = model.target();
+  const auto& prob = model.prob();
+  const std::size_t m = unknowns.size();
+  std::vector<std::uint32_t> index(model.num_states(), kNone);
+  for (std::uint32_t i = 0; i < m; ++i) index[unknowns[i]] = i;
+  const auto reward = [&](StateId s) {
+    return rewards ? model.state_reward(s) + model.choice_reward(choice[s])
+                   : 0.0;
+  };
+
+  SolveResult result;
+  result.converged = true;
+  // A = I − γ·P over the unknowns; b = r + γ·P·(fixed successors). Edges
+  // of probability 0 are skipped: they contribute exactly 0, even from a
+  // successor whose fixed value is +inf.
+  SparseMatrix a;
+  std::vector<double> b(m);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const StateId s = unknowns[i];
+    const std::uint32_t c = choice[s];
+    a.add(i, 1.0);
+    b[i] = reward(s);
+    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+      const double p = discount * prob[k];
+      if (p == 0.0) continue;
+      if (index[target[k]] != kNone) {
+        a.add(index[target[k]], -p);
+      } else {
+        b[i] += p * values[target[k]];
+      }
+    }
+    a.end_row();
+  }
+  const EnvelopeLU lu(a, budget);
+  const std::vector<double> x = lu.solve(b);
+  for (std::uint32_t i = 0; i < m; ++i) values[unknowns[i]] = x[i];
+  if (!certify) {
+    result.values = std::move(values);
+    return result;
+  }
+
+  // δ bounds the residual F(x) − x of one Bellman application, and
+  // `excess` the residual of h = 1 + γ·P·h, each with a rounding term of
+  // (d + 3)·ε_mach times the magnitudes summed in its row of d entries.
+  const std::vector<double> h = lu.solve(std::vector<double>(m, 1.0));
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  double delta = 0.0;
+  double excess = 0.0;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const StateId s = unknowns[i];
+    const std::uint32_t c = choice[s];
+    double r = reward(s) - values[s];
+    double r_mag = std::abs(reward(s)) + std::abs(values[s]);
+    double e = 1.0 - h[i];
+    double e_mag = 1.0 + std::abs(h[i]);
+    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+      const double p = discount * prob[k];
+      if (p == 0.0) continue;
+      const double term = p * values[target[k]];
+      r += term;
+      r_mag += std::abs(term);
+      if (index[target[k]] != kNone) {
+        const double step = p * h[index[target[k]]];
+        e += step;
+        e_mag += std::abs(step);
+      }
+    }
+    const double rounding =
+        static_cast<double>(choice_start[c + 1] - choice_start[c] + 3) * kEps;
+    delta = std::max(delta, std::abs(r) + rounding * r_mag);
+    excess = std::max(excess, e + rounding * e_mag);
+  }
+  // h ≤ h̃ + excess·h, so h ≤ h̃ / (1 − excess) when excess < 1.
+  const bool bounded = excess < 1.0 && std::isfinite(delta);
+  result.lo = values;
+  result.hi = values;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const StateId s = unknowns[i];
+    const double radius =
+        bounded ? delta * h[i] / (1.0 - excess) * (1.0 + 8.0 * kEps) : kInf;
+    result.lo[s] = std::nextafter(values[s] - radius, -kInf);
+    result.hi[s] = std::nextafter(values[s] + radius, kInf);
+  }
+  result.values = std::move(values);
+  return result;
 }
 
 }  // namespace
@@ -244,118 +354,277 @@ std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
   TML_REQUIRE(policy.choice_index.size() == model.num_states(),
               "evaluate_policy_discounted: policy size mismatch");
   const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  // Solve (I − γP) v = r over the policy-selected rows.
-  Matrix a = Matrix::identity(n);
-  std::vector<double> b(n);
+  std::vector<std::uint32_t> choice(n);
+  std::vector<StateId> all(n);
   for (StateId s = 0; s < n; ++s) {
-    const std::uint32_t c = row_start[s] + policy.at(s);
-    TML_REQUIRE(c < row_start[s + 1],
+    choice[s] = model.first_choice(s) + policy.at(s);
+    TML_REQUIRE(choice[s] < model.last_choice(s),
                 "evaluate_policy_discounted: policy chooses missing choice "
                     << policy.at(s) << " in state " << s);
-    b[s] = model.state_reward(s) + model.choice_reward(c);
-    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-      a(s, target[k]) -= discount * prob[k];
-    }
+    all[s] = s;
   }
-  return solve_linear_system(std::move(a), std::move(b));
+  // Un-budgeted: policy iteration polls its budget between evaluations
+  // and returns a flagged partial, which a throw from here would bypass.
+  return solve_one_choice(model, choice, all, std::vector<double>(n, 0.0),
+                          /*rewards=*/true, discount, Budget{},
+                          /*certify=*/false)
+      .values;
 }
 
-std::vector<double> dtmc_total_reward(const CompiledModel& model,
-                                      const StateSet& targets) {
-  TML_REQUIRE(model.deterministic(),
-              "dtmc_total_reward: compiled model is not a DTMC");
-  TML_REQUIRE(targets.size() == model.num_states(),
-              "dtmc_total_reward: target set size mismatch");
-  const std::size_t n = model.num_states();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  const StateSet certain =
-      reach_prob01(model, targets, Objective::kMinimize).one;
-
-  // Unknowns: non-target states that reach the target almost surely. Such
-  // states only transition into other almost-sure states, so the restricted
-  // system is closed.
-  std::vector<int> index(n, -1);
-  std::vector<StateId> unknowns;
-  for (StateId s = 0; s < n; ++s) {
-    if (certain[s] && !targets[s]) {
-      index[s] = static_cast<int>(unknowns.size());
-      unknowns.push_back(s);
-    }
-  }
-
-  std::vector<double> values(n, kInf);
-  for (StateId s = 0; s < n; ++s) {
-    if (targets[s]) values[s] = 0.0;
-  }
-  if (unknowns.empty()) return values;
-
-  Matrix a = Matrix::identity(unknowns.size());
-  std::vector<double> b(unknowns.size());
-  for (std::size_t i = 0; i < unknowns.size(); ++i) {
-    const StateId s = unknowns[i];
-    b[i] = model.state_reward(s);
-    for (std::uint32_t k = choice_start[s]; k < choice_start[s + 1]; ++k) {
-      if (targets[target[k]]) continue;  // pinned to 0
-      TML_ASSERT(index[target[k]] >= 0,
-                 "dtmc_total_reward: almost-sure state leaks into "
-                 "non-almost-sure state "
-                     << target[k]);
-      a(i, static_cast<std::size_t>(index[target[k]])) -= prob[k];
-    }
-  }
-  const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
-  for (std::size_t i = 0; i < unknowns.size(); ++i) values[unknowns[i]] = x[i];
-  return values;
-}
-
-std::vector<double> dtmc_reachability(const CompiledModel& model,
-                                      const StateSet& targets) {
+SolveResult dtmc_reachability_bracket(const CompiledModel& model,
+                                      const StateSet& targets,
+                                      const SolverOptions& options) {
   TML_REQUIRE(model.deterministic(),
               "dtmc_reachability: compiled model is not a DTMC");
   TML_REQUIRE(targets.size() == model.num_states(),
               "dtmc_reachability: target set size mismatch");
   const std::size_t n = model.num_states();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
   const auto [zero, one] = reach_prob01(model, targets, Objective::kMinimize);
-
-  std::vector<int> index(n, -1);
+  std::vector<double> values(n, 0.0);
   std::vector<StateId> unknowns;
   for (StateId s = 0; s < n; ++s) {
-    if (!zero[s] && !one[s]) {
-      index[s] = static_cast<int>(unknowns.size());
-      unknowns.push_back(s);
+    if (one[s]) values[s] = 1.0;
+    if (!zero[s] && !one[s]) unknowns.push_back(s);
+  }
+  SolveResult result =
+      solve_one_choice(model, dtmc_rows(model), unknowns, std::move(values),
+                       /*rewards=*/false, 1.0, options.budget,
+                       /*certify=*/true);
+  // Probabilities: [0, 1] is a bracket of its own.
+  for (StateId s = 0; s < n; ++s) {
+    result.lo[s] = std::max(result.lo[s], 0.0);
+    result.hi[s] = std::min(result.hi[s], 1.0);
+  }
+  return result;
+}
+
+SolveResult dtmc_total_reward_bracket(const CompiledModel& model,
+                                      const StateSet& targets,
+                                      const SolverOptions& options) {
+  TML_REQUIRE(model.deterministic(),
+              "dtmc_total_reward: compiled model is not a DTMC");
+  TML_REQUIRE(targets.size() == model.num_states(),
+              "dtmc_total_reward: target set size mismatch");
+  const std::size_t n = model.num_states();
+  const StateSet certain =
+      reach_prob01(model, targets, Objective::kMinimize).one;
+  // Unknowns: non-target states that reach the target almost surely. Such
+  // states only move to other almost-sure states, so every successor
+  // outside the unknowns is a target, pinned to 0.
+  std::vector<double> values(n, kInf);
+  std::vector<StateId> unknowns;
+  for (StateId s = 0; s < n; ++s) {
+    if (targets[s]) values[s] = 0.0;
+    if (certain[s] && !targets[s]) unknowns.push_back(s);
+  }
+  return solve_one_choice(model, dtmc_rows(model), unknowns, std::move(values),
+                          /*rewards=*/true, 1.0, options.budget,
+                          /*certify=*/true);
+}
+
+std::vector<double> dtmc_reachability(const CompiledModel& model,
+                                      const StateSet& targets) {
+  return dtmc_reachability_bracket(model, targets).values;
+}
+
+std::vector<double> dtmc_total_reward(const CompiledModel& model,
+                                      const StateSet& targets) {
+  return dtmc_total_reward_bracket(model, targets).values;
+}
+
+// ---------------------------------------------------------------------------
+// Sparse direct solver
+
+std::vector<std::uint32_t> rcm_order(const SparseMatrix& a) {
+  const std::size_t n = a.size();
+  // Symmetrised adjacency without self-loops or repeats.
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t k = a.row_start[i]; k < a.row_start[i + 1]; ++k) {
+      const std::uint32_t j = a.col[k];
+      TML_REQUIRE(j < n, "rcm_order: column " << j << " out of range " << n);
+      if (j == i) continue;
+      adj[i].push_back(j);
+      adj[j].push_back(i);
     }
   }
-
-  std::vector<double> values(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (one[s]) values[s] = 1.0;
+  for (auto& row : adj) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
   }
-  if (unknowns.empty()) return values;
+  const auto by_degree = [&](std::uint32_t x, std::uint32_t y) {
+    return adj[x].size() != adj[y].size() ? adj[x].size() < adj[y].size()
+                                          : x < y;
+  };
 
-  Matrix a = Matrix::identity(unknowns.size());
-  std::vector<double> b(unknowns.size(), 0.0);
-  for (std::size_t i = 0; i < unknowns.size(); ++i) {
-    const StateId s = unknowns[i];
-    for (std::uint32_t k = choice_start[s]; k < choice_start[s + 1]; ++k) {
-      if (one[target[k]]) {
-        b[i] += prob[k];
-      } else if (!zero[target[k]]) {
-        a(i, static_cast<std::size_t>(index[target[k]])) -= prob[k];
+  // Breadth-first level structure from `root`: appends its component to
+  // `visit` in Cuthill–McKee order (each row's new neighbours by degree)
+  // and returns where the last level starts and how many levels there are.
+  std::vector<std::uint32_t> seen(n, 0);
+  std::uint32_t stamp = 0;
+  struct Levels {
+    std::size_t last_begin;
+    std::size_t depth;
+  };
+  const auto level_order = [&](std::uint32_t root,
+                               std::vector<std::uint32_t>& visit) {
+    ++stamp;
+    visit.push_back(root);
+    seen[root] = stamp;
+    Levels levels{0, 0};
+    std::size_t begin = 0;
+    std::size_t end = visit.size();
+    while (begin < end) {
+      levels = {begin, levels.depth + 1};
+      for (std::size_t q = begin; q < end; ++q) {
+        const std::size_t before = visit.size();
+        for (const std::uint32_t j : adj[visit[q]]) {
+          if (seen[j] == stamp) continue;
+          seen[j] = stamp;
+          visit.push_back(j);
+        }
+        std::sort(visit.begin() + static_cast<std::ptrdiff_t>(before),
+                  visit.end(), by_degree);
+      }
+      begin = end;
+      end = visit.size();
+    }
+    return levels;
+  };
+
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  std::vector<bool> placed(n, false);
+  std::vector<std::uint32_t> probe;
+  std::vector<std::uint32_t> trial;
+  for (std::uint32_t start = 0; start < n; ++start) {
+    if (placed[start]) continue;
+    // George–Liu pseudo-peripheral root: move to the lowest-degree row of
+    // the last level while that deepens the level structure.
+    probe.clear();
+    Levels levels = level_order(start, probe);
+    for (;;) {
+      const std::uint32_t candidate = *std::min_element(
+          probe.begin() + static_cast<std::ptrdiff_t>(levels.last_begin),
+          probe.end(), by_degree);
+      trial.clear();
+      const Levels deeper = level_order(candidate, trial);
+      if (deeper.depth <= levels.depth) break;
+      probe.swap(trial);
+      levels = deeper;
+    }
+    // `probe` is the Cuthill–McKee order of the component from its root.
+    for (const std::uint32_t i : probe) placed[i] = true;
+    order.insert(order.end(), probe.begin(), probe.end());
+  }
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+EnvelopeLU::EnvelopeLU(const SparseMatrix& a, const Budget& budget)
+    : order_(rcm_order(a)) {
+  const std::size_t n = a.size();
+  std::vector<std::uint32_t> position(n);
+  for (std::uint32_t k = 0; k < n; ++k) position[order_[k]] = k;
+
+  // Envelope of the symmetrised pattern: row k of L and column k of U both
+  // start at the first position adjacent to k from below.
+  first_.resize(n);
+  for (std::uint32_t k = 0; k < n; ++k) first_[k] = k;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t e = a.row_start[i]; e < a.row_start[i + 1]; ++e) {
+      const std::uint32_t p = position[i];
+      const std::uint32_t q = position[a.col[e]];
+      const std::uint32_t hi = std::max(p, q);
+      first_[hi] = std::min(first_[hi], std::min(p, q));
+    }
+  }
+  offset_.resize(n + 1);
+  offset_[0] = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    offset_[k + 1] = offset_[k] + k - first_[k];
+  }
+  lower_.assign(offset_[n], 0.0);
+  upper_.assign(offset_[n], 0.0);
+  diag_.assign(n, 0.0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t e = a.row_start[i]; e < a.row_start[i + 1]; ++e) {
+      const std::uint32_t p = position[i];
+      const std::uint32_t q = position[a.col[e]];
+      if (p == q) {
+        diag_[p] += a.value[e];
+      } else if (p > q) {
+        lower_[offset_[p] + q - first_[p]] += a.value[e];
+      } else {
+        upper_[offset_[q] + p - first_[q]] += a.value[e];
       }
     }
   }
-  const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
-  for (std::size_t i = 0; i < unknowns.size(); ++i) values[unknowns[i]] = x[i];
-  return values;
+
+  // Doolittle order: position k computes U's column k and L's row k from
+  // the finished columns/rows before it, then its pivot.
+  BudgetTracker tracker(budget);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k % kColumnsPerTick == 0 && !tracker.tick()) {
+      throw BudgetExhausted(
+          std::string("sparse LU: budget exhausted (") +
+              to_string(tracker.stop()) + ") after " + std::to_string(k) +
+              " of " + std::to_string(n) + " columns",
+          tracker.stop());
+    }
+    const std::size_t fk = first_[k];
+    double* lk = lower_.data() + offset_[k];  // lk[m − fk] = L(k, m)
+    double* uk = upper_.data() + offset_[k];  // uk[m − fk] = U(m, k)
+    for (std::size_t j = fk; j < k; ++j) {
+      const std::size_t fj = first_[j];
+      const std::size_t lo = std::max(fk, fj);
+      const double* lj = lower_.data() + offset_[j] + (lo - fj);
+      const double* uj = upper_.data() + offset_[j] + (lo - fj);
+      const double* lkm = lk + (lo - fk);
+      const double* ukm = uk + (lo - fk);
+      double su = 0.0;
+      double sl = 0.0;
+      for (std::size_t m = 0; m < j - lo; ++m) {
+        su += lj[m] * ukm[m];
+        sl += lkm[m] * uj[m];
+      }
+      uk[j - fk] -= su;
+      lk[j - fk] = (lk[j - fk] - sl) / diag_[j];
+    }
+    double sd = 0.0;
+    for (std::size_t m = 0; m < k - fk; ++m) sd += lk[m] * uk[m];
+    diag_[k] -= sd;
+    if (!(diag_[k] > 0.0 && std::isfinite(diag_[k])) ||
+        fault::fire("solver.pivot")) {
+      throw NumericError("sparse LU: pivot " + std::to_string(diag_[k]) +
+                         " at row " + std::to_string(order_[k]) +
+                         " is not positive and finite (singular system)");
+    }
+  }
+}
+
+std::vector<double> EnvelopeLU::solve(std::span<const double> b) const {
+  const std::size_t n = size();
+  TML_REQUIRE(b.size() == n, "EnvelopeLU::solve: rhs dimension mismatch");
+  std::vector<double> y(n);
+  for (std::size_t k = 0; k < n; ++k) y[k] = b[order_[k]];
+  // L y = b, then U x = y with U stored by columns.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* lk = lower_.data() + offset_[k];
+    const double* yk = y.data() + first_[k];
+    double acc = y[k];
+    for (std::size_t m = 0; m < k - first_[k]; ++m) acc -= lk[m] * yk[m];
+    y[k] = acc;
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    const double* uk = upper_.data() + offset_[k];
+    double* yk = y.data() + first_[k];
+    y[k] /= diag_[k];
+    for (std::size_t m = 0; m < k - first_[k]; ++m) yk[m] -= uk[m] * y[k];
+  }
+  std::vector<double> x(n);
+  for (std::size_t k = 0; k < n; ++k) x[order_[k]] = y[k];
+  return x;
 }
 
 }  // namespace tml

@@ -12,6 +12,16 @@
 // (iterate_to_fixpoint), both in src/mdp/bellman.hpp — the driver that
 // robust interval-MDP reachability runs on too.
 //
+// One-choice systems — a DTMC's unbounded P[F]/R[F], a policy's discounted
+// value — are solved directly, by one sparse LU: the rows of A = I − γ·P
+// over the unknown states come straight from the CSR arrays, are ordered
+// by reverse Cuthill–McKee, stored in envelope (profile) form and factored
+// without pivoting. Every such A is a nonsingular M-matrix (the unknowns
+// are transient, or γ < 1), so every pivot is positive in exact arithmetic;
+// a computed pivot that is not positive and finite throws NumericError.
+// The cost is O(n·b²) time and O(n·b) memory for envelope width b (about
+// C+1 on a C-capacity queue mesh) instead of the dense O(n³) and O(n²).
+//
 // The prob0/prob1 precomputation lives in src/mdp/graph (reach_prob01);
 // the PCTL-specific machinery (bounded until, until/reachability
 // operators) lives in src/checker; this module is the plain
@@ -19,6 +29,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -105,7 +116,9 @@ struct SolverOptions {
   /// `budget_status = kBudgetExhausted` instead of throwing — under the
   /// interval engine the returned lo/hi bracket is still certified sound.
   /// Entry points returning a bare vector (mdp_reachability,
-  /// interval_reachability) throw BudgetExhausted instead.
+  /// interval_reachability) throw BudgetExhausted instead, and so do the
+  /// DTMC direct solves, which tick once per EnvelopeLU::kColumnsPerTick
+  /// factored columns.
   Budget budget = default_budget();
   /// Optional warm-start seed (non-owning; must outlive the call). nullptr
   /// = cold start. See WarmStart for the caller contract and the per-block
@@ -119,9 +132,11 @@ struct SolveResult {
   Policy policy;               ///< greedy policy achieving `values`
   std::size_t iterations = 0;
   bool converged = false;
-  /// Certified per-state bracket `lo[s] <= v*(s) <= hi[s]` with
-  /// `hi - lo < tolerance` on convergence. Only filled by the reachability
-  /// engine; empty for the discounted and total-reward solvers.
+  /// Certified per-state bracket `lo[s] <= v*(s) <= hi[s]`: from the
+  /// reachability engine, with `hi - lo < tolerance` on convergence, and
+  /// from the DTMC direct solves, with the residual-based width
+  /// dtmc_reachability_bracket states. Empty for the discounted and MDP
+  /// total-reward solvers.
   std::vector<double> lo;
   std::vector<double> hi;
   /// kBudgetExhausted when the solver stopped at a checkpoint because its
@@ -181,23 +196,102 @@ std::vector<std::vector<double>> q_values_discounted(
 Policy greedy_policy(const std::vector<std::vector<double>>& q,
                      Objective objective);
 
-/// Exact policy evaluation for the discounted criterion by direct linear
-/// solve on the policy-selected rows (the induced chain is never
+/// Exact policy evaluation for the discounted criterion by one sparse
+/// direct solve on the policy-selected rows (the induced chain is never
 /// materialized — the CSR rows of the chosen choices feed the system
 /// directly).
 std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
                                                const Policy& policy,
                                                double discount);
 
-/// Expected total reward of a DTMC until reaching `targets` (value 0 at
-/// targets), by direct linear solve. States that reach the target with
-/// probability < 1 get +inf.
+/// Probability of eventually reaching `targets` in a DTMC: prob0/prob1
+/// graph preprocessing, then one sparse direct solve over the remaining
+/// states. `values` is the solution; `lo`/`hi` is its certified per-state
+/// bracket. With δ ≥ ‖F(x) − x‖∞ the residual of one Bellman application
+/// F, and h the expected number of steps to leave the solved states
+/// (a second right-hand side through the same factors), the exact value
+/// lies in x ± δ·h. δ carries a rounding term of (d+3)·ε_mach times the
+/// magnitudes summed in each row of d entries — twice the standard bound
+/// for that sum — and h is itself bounded from its own residual. The
+/// factorization ticks `options.budget` once per kColumnsPerTick columns
+/// and throws BudgetExhausted when it fires; the other options are unused.
+SolveResult dtmc_reachability_bracket(const CompiledModel& model,
+                                      const StateSet& targets,
+                                      const SolverOptions& options = {});
+
+/// Expected total reward (state plus choice reward per step) of a DTMC
+/// until reaching `targets` (value 0 there), by one sparse direct solve
+/// with the certified bracket and budget of dtmc_reachability_bracket.
+/// States that reach the target with probability < 1 get +inf.
+SolveResult dtmc_total_reward_bracket(const CompiledModel& model,
+                                      const StateSet& targets,
+                                      const SolverOptions& options = {});
+
+/// `dtmc_reachability_bracket(model, targets).values`.
+std::vector<double> dtmc_reachability(const CompiledModel& model,
+                                      const StateSet& targets);
+
+/// `dtmc_total_reward_bracket(model, targets).values`.
 std::vector<double> dtmc_total_reward(const CompiledModel& model,
                                       const StateSet& targets);
 
-/// Probability of eventually reaching `targets` in a DTMC (linear solve with
-/// prob0/prob1 graph preprocessing).
-std::vector<double> dtmc_reachability(const CompiledModel& model,
-                                      const StateSet& targets);
+// ---------------------------------------------------------------------------
+// The sparse direct solver behind the one-choice solves.
+
+/// Square sparse matrix in compressed rows: row i holds the entries
+/// (col[k], value[k]) for k in [row_start[i], row_start[i + 1]). Repeated
+/// (i, j) entries add up.
+struct SparseMatrix {
+  std::vector<std::uint32_t> row_start{0};
+  std::vector<std::uint32_t> col;
+  std::vector<double> value;
+
+  std::size_t size() const { return row_start.size() - 1; }
+  /// Appends entry (j, v) to the row being built.
+  void add(std::uint32_t j, double v) {
+    col.push_back(j);
+    value.push_back(v);
+  }
+  /// Closes the row being built; the next add() starts the next row.
+  void end_row() {
+    row_start.push_back(static_cast<std::uint32_t>(col.size()));
+  }
+};
+
+/// Reverse Cuthill–McKee order of the symmetrised pattern of `a`:
+/// order[k] is the row placed k-th. Each connected component is laid out
+/// breadth-first from a pseudo-peripheral row (George–Liu), neighbours in
+/// increasing degree, ties by index, so the order is deterministic.
+std::vector<std::uint32_t> rcm_order(const SparseMatrix& a);
+
+/// LU factorization A = L·U of a matrix under rcm_order, without
+/// pivoting, in envelope form: row k of L and column k of U are stored
+/// from the first column/row of k's symmetrised envelope up to k, and fill
+/// never leaves the envelope. For the M-matrices the one-choice solves
+/// build, every pivot is positive; any pivot that is not positive and
+/// finite (or the armed fault site `solver.pivot`) throws NumericError.
+class EnvelopeLU {
+ public:
+  /// Columns factored per tick of the budget.
+  static constexpr std::size_t kColumnsPerTick = 16;
+
+  /// Factors `a`; ticks `budget` once per kColumnsPerTick columns and
+  /// throws BudgetExhausted when it fires.
+  explicit EnvelopeLU(const SparseMatrix& a,
+                      const Budget& budget = default_budget());
+
+  /// Solves A x = b through the stored factors.
+  std::vector<double> solve(std::span<const double> b) const;
+
+  std::size_t size() const { return diag_.size(); }
+
+ private:
+  std::vector<std::uint32_t> order_;  // position k → row of A
+  std::vector<std::uint32_t> first_;  // first position of k's envelope
+  std::vector<std::size_t> offset_;   // start of position k's strip
+  std::vector<double> lower_;         // L(k, first_[k] .. k−1); unit diagonal
+  std::vector<double> upper_;         // U(first_[k] .. k−1, k)
+  std::vector<double> diag_;          // U(k, k)
+};
 
 }  // namespace tml

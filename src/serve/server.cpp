@@ -213,8 +213,8 @@ Json::Object Server::Impl::run_check(const Request& request) {
     response["budget_status"] = "exhausted";
     response["budget_stop"] = to_string(e.stop());
     // The bracket the check's own solve had reached when it stopped; empty
-    // where the engine certifies none (DTMC, R, bounded operators) or an
-    // operand, not the top-level operator, ran out.
+    // where the stopped engine had none yet (the DTMC factorization, MDP R,
+    // bounded operators) or an operand, not the top-level operator, ran out.
     if (const std::optional<Bracket>& bracket = e.bracket()) {
       response["lo"] = bracket->lo;
       response["hi"] = bracket->hi;

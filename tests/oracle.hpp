@@ -1,7 +1,8 @@
 // Exact-arithmetic reachability oracle + seeded random model generator for
 // the differential test harness (tests/test_differential.cpp).
 //
-// The oracle computes optimal reachability probabilities with NO rounding:
+// The oracle computes optimal reachability probabilities — and, on
+// one-choice models, expected total rewards — with NO rounding:
 // policy iteration whose evaluation step is Gaussian elimination over
 // BigRational (src/rational/exact.hpp). Soundness rests on three pieces:
 //
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,6 +197,62 @@ inline std::vector<BigRational> exact_reachability(const CompiledModel& model,
   }
   throw NumericError("oracle::exact_reachability: policy iteration failed to "
                      "terminate (implementation bug)");
+}
+
+/// Exact expected total reward (state plus choice reward per step) of a
+/// one-choice model until reaching `targets`, which pin 0. States that
+/// reach the targets with probability < 1 have infinite expected reward,
+/// reported as nullopt. The finite region is the graph analysis' exact
+/// one-set; it is closed under successors outside the targets, so the
+/// linear system over it is nonsingular.
+inline std::vector<std::optional<BigRational>> exact_total_reward(
+    const CompiledModel& model, const StateSet& targets) {
+  const std::size_t n = model.num_states();
+  TML_REQUIRE(model.num_choices() == n,
+              "oracle::exact_total_reward: model has more than one choice "
+              "in some state");
+  const auto& choice_start = model.choice_start();
+  const auto& target = model.target();
+  const auto& prob = model.prob();
+  const StateSet finite =
+      reach_prob01(model, targets, Objective::kMinimize).one;
+
+  std::vector<std::ptrdiff_t> index(n, -1);
+  std::vector<StateId> unknowns;
+  for (StateId s = 0; s < n; ++s) {
+    if (finite[s] && !targets[s]) {
+      index[s] = static_cast<std::ptrdiff_t>(unknowns.size());
+      unknowns.push_back(s);
+    }
+  }
+  const std::size_t m = unknowns.size();
+  std::vector<std::vector<BigRational>> a(m, std::vector<BigRational>(m));
+  std::vector<BigRational> b(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const StateId s = unknowns[i];
+    const std::uint32_t c = model.first_choice(s);
+    a[i][i] = BigRational(1);
+    b[i] = BigRational::from_double(model.state_reward(s)) +
+           BigRational::from_double(model.choice_reward(c));
+    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+      if (targets[target[k]]) continue;  // pinned to 0
+      TML_REQUIRE(index[target[k]] >= 0,
+                  "oracle::exact_total_reward: finite region not closed");
+      a[i][static_cast<std::size_t>(index[target[k]])] -=
+          BigRational::from_double(prob[k]);
+    }
+  }
+  const std::vector<BigRational> x = exact_solve(std::move(a), std::move(b));
+
+  std::vector<std::optional<BigRational>> values(n);
+  for (StateId s = 0; s < n; ++s) {
+    if (targets[s]) {
+      values[s] = BigRational(0);
+    } else if (index[s] >= 0) {
+      values[s] = x[static_cast<std::size_t>(index[s])];
+    }
+  }
+  return values;
 }
 
 // ---------------------------------------------------------------------------

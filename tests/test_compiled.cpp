@@ -634,6 +634,28 @@ TEST(Compiled, DtmcReachabilityMatchesReference) {
                        ref::dtmc_reachability(chain, targets),
                        "dtmc_reachability", trial);
   }
+  // Queue meshes up to 14^2 states, the sparse solve's banded case. A
+  // mesh is irreducible, so P[F "full"] is 1 everywhere; making "empty"
+  // absorbing leaves every other state strictly between 0 and 1.
+  for (std::size_t capacity = 2; capacity <= 13; ++capacity) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kQueueMesh;
+    spec.size = capacity;
+    spec.seed = capacity;
+    Dtmc chain = generate_queue_mesh(spec);
+    const StateSet empty = chain.states_with_label("empty");
+    for (StateId s = 0; s < chain.num_states(); ++s) {
+      if (empty[s]) chain.set_transitions(s, {Transition{s, 1.0}});
+    }
+    const StateSet full = chain.states_with_label("full");
+    const std::vector<double> want = ref::dtmc_reachability(chain, full);
+    const SolveResult got = dtmc_reachability_bracket(compile(chain), full);
+    expect_values_near(got.values, want, "dtmc_reachability mesh", capacity);
+    for (StateId s = 0; s < chain.num_states(); ++s) {
+      EXPECT_LE(got.lo[s], want[s] + kTol) << "mesh " << capacity << " " << s;
+      EXPECT_GE(got.hi[s], want[s] - kTol) << "mesh " << capacity << " " << s;
+    }
+  }
 }
 
 TEST(Compiled, DtmcUntilMatchesReference) {
@@ -651,7 +673,7 @@ TEST(Compiled, DtmcUntilMatchesReference) {
         modified.set_transitions(s, {Transition{s, 1.0}});
       }
     }
-    expect_values_near(dtmc_until(compile(chain), stay, goal),
+    expect_values_near(dtmc_until_bracket(compile(chain), stay, goal).values,
                        ref::dtmc_reachability(modified, goal), "dtmc_until",
                        trial);
   }

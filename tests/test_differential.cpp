@@ -1,7 +1,7 @@
-// Differential test harness: the floating-point reachability engines (sound
-// interval iteration, and the dense DTMC solve on deterministic models) are
-// cross-checked against an exact rational-arithmetic oracle (tests/oracle.hpp)
-// on seeded random models.
+// Differential test harness: the floating-point engines (sound interval
+// iteration, and the sparse direct DTMC solves of reachability and expected
+// total reward) are cross-checked against an exact rational-arithmetic
+// oracle (tests/oracle.hpp) on seeded random models.
 //
 // The generator emits dyadic probabilities (k/1024), so the float model and
 // the oracle's rational twin are bit-for-bit the same distribution — any
@@ -13,7 +13,10 @@
 // Seed rotation: TML_FUZZ_SEED overrides the base seed, and CI runs this
 // suite (label `fuzz`) with several rotating seeds under Asan.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,13 +59,22 @@ void check_against_oracle(const oracle::RandomModel& rm, Objective objective,
         << " oracle=" << exact[s].to_string();
   }
 
-  // DTMC linear-solve engine on deterministic models.
-  if (model.deterministic()) {
-    const std::vector<double> values = dtmc_reachability(model, rm.targets);
+  // DTMC direct solve on one-choice models (compile(Mdp) never marks a
+  // model deterministic, so the chain is compiled as a Dtmc): values near
+  // the oracle, and the certified bracket containing it exactly.
+  if (model.num_choices() == n) {
+    const CompiledModel chain =
+        compile(rm.mdp.induced_dtmc(rm.mdp.first_choice_policy()));
+    const SolveResult direct = dtmc_reachability_bracket(chain, rm.targets);
     for (StateId s = 0; s < n; ++s) {
-      EXPECT_NEAR(values[s], exact[s].to_double(), 1e-8)
+      EXPECT_NEAR(direct.values[s], exact[s].to_double(), 1e-8)
           << "seed=" << seed << " dtmc state=" << s
           << " oracle=" << exact[s].to_string();
+      EXPECT_TRUE(BigRational::from_double(direct.lo[s]) <= exact[s] &&
+                  exact[s] <= BigRational::from_double(direct.hi[s]))
+          << "seed=" << seed << " dtmc state=" << s << " bracket=["
+          << direct.lo[s] << ", " << direct.hi[s]
+          << "] oracle=" << exact[s].to_string();
     }
   }
 
@@ -116,6 +128,47 @@ TEST(Differential, DtmcEnginesMatchExactOracle) {
     // the two prob0/prob1 code paths against the same oracle values.
     check_against_oracle(rm, Objective::kMaximize, seed);
     check_against_oracle(rm, Objective::kMinimize, seed);
+  }
+}
+
+TEST(Differential, DtmcTotalRewardMatchesExactOracle) {
+  // Random DTMCs (n ≤ 40) with dyadic state rewards k/8: the float chain
+  // and the oracle's rational twin are equal, so the direct solve must
+  // land within 1e-9 relative of the exact value, its certified bracket
+  // must contain it exactly, and infinite values must agree.
+  Rng rng(base_seed() ^ 0x5EEDu);
+  for (int rep = 0; rep < 24; ++rep) {
+    oracle::RandomModelConfig cfg;
+    cfg.num_states = 2 + rng.index(39);
+    cfg.max_choices = 1;
+    cfg.trap_prob = 0.03;
+    const std::uint64_t seed = rng.seed() + static_cast<std::uint64_t>(rep);
+    Rng model_rng(seed);
+    oracle::RandomModel rm = oracle::random_model(model_rng, cfg);
+    for (StateId s = 0; s < cfg.num_states; ++s) {
+      rm.mdp.set_state_reward(
+          s, static_cast<double>(model_rng.index(17)) / 8.0);
+    }
+    const CompiledModel chain =
+        compile(rm.mdp.induced_dtmc(rm.mdp.first_choice_policy()));
+    const std::vector<std::optional<BigRational>> exact =
+        oracle::exact_total_reward(chain, rm.targets);
+    const SolveResult got = dtmc_total_reward_bracket(chain, rm.targets);
+    for (StateId s = 0; s < chain.num_states(); ++s) {
+      if (!exact[s]) {
+        EXPECT_TRUE(std::isinf(got.values[s]))
+            << "seed=" << seed << " state=" << s << " value=" << got.values[s];
+        continue;
+      }
+      const double want = exact[s]->to_double();
+      EXPECT_NEAR(got.values[s], want, 1e-9 * std::max(1.0, std::abs(want)))
+          << "seed=" << seed << " state=" << s
+          << " oracle=" << exact[s]->to_string();
+      EXPECT_TRUE(BigRational::from_double(got.lo[s]) <= *exact[s] &&
+                  *exact[s] <= BigRational::from_double(got.hi[s]))
+          << "seed=" << seed << " state=" << s << " bracket=[" << got.lo[s]
+          << ", " << got.hi[s] << "] oracle=" << exact[s]->to_string();
+    }
   }
 }
 

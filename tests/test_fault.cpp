@@ -17,7 +17,8 @@
 //                     checker.sweep), forced non-convergence
 //                     (checker.converge), non-finite IRL gradients
 //                     (irl.gradient), SMC truncation-rate overflow
-//                     (smc.sample);
+//                     (smc.sample), a forced pivot failure in the DTMC
+//                     direct solve (solver.pivot);
 //   Error           — forced singular pivots in parametric state
 //                     elimination (parametric.pivot) via TML_REQUIRE;
 //   BudgetExhausted — deadline reached through fault-skewed clock
@@ -32,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/checker/check.hpp"
 #include "src/checker/interval.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
@@ -212,6 +214,25 @@ TEST_F(FaultTest, NlpSurvivesLatePoisoning) {
   ASSERT_FALSE(out.x.empty());
   EXPECT_TRUE(std::isfinite(out.x[0]));
   EXPECT_TRUE(std::isfinite(out.objective));
+}
+
+TEST_F(FaultTest, SolverPivotForcedSingularIsTypedNumericError) {
+  // The DTMC direct solve's factorization: a forced pivot failure must
+  // surface as NumericError through every entry point, never as a value.
+  fault::arm("solver.pivot", "on");
+  const CompiledModel chain = compile(ruin_walk());
+  StateSet goal(5, false);
+  goal[4] = true;
+  EXPECT_THROW((void)dtmc_reachability(chain, goal), NumericError);
+  StateSet retried(2, false);
+  retried[1] = true;
+  EXPECT_THROW((void)dtmc_total_reward(compile(retry_chain()), retried),
+               NumericError);
+  EXPECT_THROW((void)check(chain, *parse_pctl("P=? [ F \"goal\" ]")),
+               NumericError);
+  EXPECT_GT(fault::hits("solver.pivot"), 0u);
+  fault::disarm_all();
+  EXPECT_NEAR(dtmc_reachability(chain, goal)[2], 0.5, 1e-12);
 }
 
 TEST_F(FaultTest, ParametricPivotForcedSingular) {

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +94,20 @@ TEST(ParallelFor, CoversRangeWithoutOverlap) {
     EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 1000);
     EXPECT_EQ(*std::min_element(touched.begin(), touched.end()), 1);
   }
+}
+
+TEST(ParallelFor, SmallSweepsRunOnTheCallingThread) {
+  // A per-state sweep of fewer than kMinParallelChunks chunks never wakes
+  // the pool, whatever thread count it asks for.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  parallel_for(
+      0, (kMinParallelChunks - 1) * kDefaultGrain, kDefaultGrain,
+      [&](std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+      },
+      8);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ParallelFor, EmptyRangeIsANoop) {

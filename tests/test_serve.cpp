@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -713,22 +715,55 @@ TEST_F(ServeTest, ProgrammaticCancelDegradesToCertifiedPartialBracket) {
 }
 
 TEST_F(ServeTest, DeadlineExhaustionOnDtmcCarriesNullBounds) {
-  // The bracket channel is MDP-only; a DTMC partial still degrades
-  // gracefully, with explicit null bounds rather than an error.
+  // The DTMC direct solve polls the budget from its first factorization
+  // column, so an already-passed deadline stops it; its partial has no
+  // bracket yet and carries explicit null bounds rather than an error.
   fault::arm("budget.clock", "skew=86400000000000");
   serve::Server server(serve::ServeOptions{});
   const Json response = Json::parse(server.handle_line(
       check_request(kDtmcSource, "P=? [ F \"goal\" ]", 11, 1000)));
   fault::disarm_all();
-  if (response.find("status")->as_string() == "ok") {
-    // Exact linear solves are documented as un-budgeted; tolerate either a
-    // completed exact answer or a flagged partial, but never an error.
-    EXPECT_NEAR(response.find("value")->as_number(), 0.5, 1e-9);
-  } else {
-    EXPECT_EQ(response.find("status")->as_string(), "partial");
-    EXPECT_TRUE(response.find("lo")->is_null());
-    EXPECT_TRUE(response.find("hi")->is_null());
-  }
+  EXPECT_EQ(response.find("status")->as_string(), "partial");
+  EXPECT_EQ(response.find("budget_stop")->as_string(), "deadline");
+  EXPECT_TRUE(response.find("lo")->is_null());
+  EXPECT_TRUE(response.find("hi")->is_null());
+}
+
+TEST_F(ServeTest, DeadlineStopsAnUnboundedDtmcRewardSolve) {
+  // `tml_gen queue 150`: a 22801-state mesh whose R=? [ F "full" ] is one
+  // sparse direct solve. A real 5 ms deadline must stop its factorization
+  // well before the solve would finish.
+  GeneratorSpec spec;
+  spec.family = GeneratorFamily::kQueueMesh;
+  spec.size = 150;
+  const std::string model = generate_prism(spec);
+  serve::Server server(serve::ServeOptions{});
+  using Clock = std::chrono::steady_clock;
+  const auto timed = [&](const char* formula, int id,
+                         std::int64_t timeout_ms) {
+    const Clock::time_point start = Clock::now();
+    Json response = Json::parse(
+        server.handle_line(check_request(model, formula, id, timeout_ms)));
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    return std::pair<Json, double>(std::move(response), ms);
+  };
+  // A one-step query fills the cache; then the same R request is timed in
+  // full and under the deadline, both on cache hits.
+  const Json warm = timed("P=? [ X \"full\" ]", 1, 0).first;
+  ASSERT_EQ(warm.find("status")->as_string(), "ok");
+  const char* reward = "R=? [ F \"full\" ]";
+  const auto [full, full_ms] = timed(reward, 2, 0);
+  ASSERT_EQ(full.find("status")->as_string(), "ok");
+  EXPECT_GT(full.find("value")->as_number(), 0.0);
+  constexpr std::int64_t kDeadlineMs = 5;
+  const auto [stopped, stopped_ms] = timed(reward, 3, kDeadlineMs);
+  EXPECT_EQ(stopped.find("status")->as_string(), "partial");
+  EXPECT_EQ(stopped.find("budget_stop")->as_string(), "deadline");
+  EXPECT_TRUE(stopped.find("lo")->is_null());
+  EXPECT_LT(stopped_ms, full_ms / 2)
+      << "deadline " << kDeadlineMs << " ms; full solve " << full_ms << " ms";
 }
 
 TEST_F(ServeTest, ConcurrentRequestsMultiplexOntoThePool) {

@@ -9,7 +9,7 @@
 // (src/mdp/prism_parser.hpp), checks the formula, prints the verdict and
 // the measured value (plus the certified [lo, hi] bracket the same solve
 // produced, for top-level unbounded P operators — F, U, G; `=?` and `⋈b`
-// — on MDPs), and optionally:
+// — on either model kind, and unbounded R[F] on DTMCs), and optionally:
 //   --counterexample   for violated P<=b / P<b [F ...] properties on
 //                      DTMCs, prints the strongest evidence paths;
 //   --dot              dumps the model as Graphviz DOT to stdout;
@@ -158,9 +158,12 @@ void print_bracket(const std::optional<Bracket>& bracket,
                    BudgetStop stop = BudgetStop::kNone) {
   if (!bracket) return;
   const bool partial = stop != BudgetStop::kNone;
+  // An exact bracket (a pinned state, an infinite reward) has width 0.
+  const double width =
+      bracket->lo == bracket->hi ? 0.0 : bracket->hi - bracket->lo;
   std::cout << (partial ? "partial" : "bracket") << ":  [" << bracket->lo
-            << ", " << bracket->hi << "] (width " << bracket->hi - bracket->lo
-            << ", " << bracket->sweeps << " sweeps";
+            << ", " << bracket->hi << "] (width " << width << ", "
+            << bracket->sweeps << " sweeps";
   if (partial) std::cout << ", " << to_string(stop);
   std::cout << ")\n";
 }
@@ -448,7 +451,12 @@ int main(int argc, char** argv) {
       // --timeout-ms deadline and the SIGINT token.
       CheckOptions options;
       options.quotient = want_quotient;
-      result = check(compile(model.mdp), *formula, options);
+      // A dtmc file compiles as a DTMC, so its unbounded P/R operators take
+      // the direct solve rather than the MDP engines.
+      result = check(model.type == PrismModel::Type::kDtmc
+                         ? compile(model.dtmc())
+                         : compile(model.mdp),
+                     *formula, options);
       if (result.quotient_states > 0) {
         std::cout << "quotient: " << model.mdp.num_states() << " states -> "
                   << result.quotient_states << " blocks\n";
