@@ -15,27 +15,6 @@ namespace tml {
 
 namespace {
 
-Objective resolve_objective(const StateFormula& formula) {
-  if (formula.quantifier()) {
-    return *formula.quantifier() == Quantifier::kMax ? Objective::kMaximize
-                                                     : Objective::kMinimize;
-  }
-  // An unquantified query (`P=?` on an MDP) asks for the maximum.
-  if (formula.is_quantitative()) return Objective::kMaximize;
-  // PRISM resolution for bounded operators on MDPs: an upper bound must hold
-  // for the worst (maximizing) scheduler, a lower bound for the minimizing
-  // one.
-  switch (formula.comparison()) {
-    case Comparison::kLess:
-    case Comparison::kLessEqual:
-      return Objective::kMaximize;
-    case Comparison::kGreater:
-    case Comparison::kGreaterEqual:
-      return Objective::kMinimize;
-  }
-  return Objective::kMaximize;
-}
-
 Objective flip(Objective objective) {
   return objective == Objective::kMaximize ? Objective::kMinimize
                                            : Objective::kMaximize;
@@ -275,6 +254,27 @@ CheckResult check_direct(const CompiledModel& model,
 }
 
 }  // namespace
+
+Objective resolve_objective(const StateFormula& formula) {
+  if (formula.quantifier()) {
+    return *formula.quantifier() == Quantifier::kMax ? Objective::kMaximize
+                                                     : Objective::kMinimize;
+  }
+  // An unquantified query (`P=?` on an MDP) asks for the maximum.
+  if (formula.is_quantitative()) return Objective::kMaximize;
+  // PRISM resolution for bounded operators on MDPs: an upper bound must hold
+  // for the worst (maximizing) scheduler, a lower bound for the minimizing
+  // one.
+  switch (formula.comparison()) {
+    case Comparison::kLess:
+    case Comparison::kLessEqual:
+      return Objective::kMaximize;
+    case Comparison::kGreater:
+    case Comparison::kGreaterEqual:
+      return Objective::kMinimize;
+  }
+  return Objective::kMaximize;
+}
 
 StateSet satisfying_states(const CompiledModel& model,
                            const StateFormula& formula) {

@@ -33,6 +33,7 @@
 #include "src/logic/pctl.hpp"
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/model.hpp"
+#include "src/mdp/solver.hpp"
 
 namespace tml {
 
@@ -56,6 +57,12 @@ struct CheckOptions {
   /// reports which path ran).
   bool quotient = false;
 };
+
+/// Scheduler direction of the P/R operator `formula` on an MDP: its explicit
+/// max/min, else PRISM's resolution (the maximum for a query or an upper
+/// bound, the minimum for a lower bound). MDP model repair solves with the
+/// same direction.
+Objective resolve_objective(const StateFormula& formula);
 
 /// Set of states satisfying a boolean PCTL formula. Throws for quantitative
 /// (`=?`) formulas — those have no satisfaction set. Callers holding a

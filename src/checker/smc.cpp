@@ -134,20 +134,6 @@ PathSample sample_path_outcome(const CompiledModel& model,
   return PathSample::kViolated;
 }
 
-bool sample_path_satisfies(const CompiledModel& model, const PathFormula& path,
-                           const StateSet& left_sat, const StateSet& right_sat,
-                           std::size_t max_steps, Rng& rng) {
-  return sample_path_outcome(model, path, left_sat, right_sat, max_steps,
-                             rng) == PathSample::kSatisfied;
-}
-
-bool sample_path_satisfies(const Dtmc& chain, const PathFormula& path,
-                           const StateSet& left_sat, const StateSet& right_sat,
-                           std::size_t max_steps, Rng& rng) {
-  return sample_path_satisfies(compile(chain), path, left_sat, right_sat,
-                               max_steps, rng);
-}
-
 SmcResult smc_check(const CompiledModel& model, const StateFormula& formula,
                     const SmcOptions& options) {
   static stats::Timer& t_check = stats::timer("smc.check.time");

@@ -116,15 +116,6 @@ PathSample sample_path_outcome(const CompiledModel& model,
                                const StateSet* certain_no = nullptr,
                                const StateSet* certain_yes = nullptr);
 
-/// Back-compat wrapper: kSatisfied → true, anything else → false (the
-/// historical lower-bound reading of a truncated path).
-bool sample_path_satisfies(const CompiledModel& model, const PathFormula& path,
-                           const StateSet& left_sat, const StateSet& right_sat,
-                           std::size_t max_steps, Rng& rng);
-bool sample_path_satisfies(const Dtmc& chain, const PathFormula& path,
-                           const StateSet& left_sat, const StateSet& right_sat,
-                           std::size_t max_steps, Rng& rng);
-
 /// Estimates the probability of the path formula of `formula` (which must
 /// be a kProb or kProbQuery node) from the chain's initial state. The model
 /// is compiled once; every sample walks the flat CSR arrays.

@@ -8,9 +8,13 @@
 // where the bottom strongly connected components (BSCCs) are the closed
 // blocks of the model's cached SCC condensation (CompiledModel::scc()),
 // each BSCC's stationary distribution π_B solves
-// π_B P|_B = π_B with Σ π_B = 1, and the reach probabilities come from the
-// standard reachability engine. Useful for the WSN setting's long-run
-// questions (e.g. the long-run fraction of time a node spends ignoring).
+// π_B P|_B = π_B with Σ π_B = 1, and P(reach B) sums the probabilities of
+// entering B at each of its states. Both are left systems x·(I − P') = e
+// over M-matrices, solved by one transposed sparse LU each
+// (EnvelopeLU::solve_transposed, src/mdp/solver.hpp): one for the entry
+// probabilities of all BSCCs, one per reached BSCC for π_B. Useful for the
+// WSN setting's long-run questions (e.g. the long-run fraction of time a
+// node spends ignoring).
 //
 // All analyses run on the compiled CSR form, which must be deterministic;
 // callers holding a builder Dtmc compile it once.
@@ -30,8 +34,8 @@ namespace tml {
 std::vector<std::vector<StateId>> bottom_sccs(const CompiledModel& model);
 
 /// Stationary distribution of the chain restricted to one BSCC, indexed
-/// like `component`. Throws if the states do not form a closed recurrent
-/// class.
+/// like `component`. Throws Error if the states are not closed, and
+/// NumericError if they are closed but not one strongly connected class.
 std::vector<double> stationary_distribution(
     const CompiledModel& model, const std::vector<StateId>& component);
 

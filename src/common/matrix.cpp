@@ -1,88 +1,11 @@
 #include "src/common/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/common/error.hpp"
+
 namespace tml {
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-std::vector<double> Matrix::apply(std::span<const double> x) const {
-  TML_REQUIRE(x.size() == cols_, "Matrix::apply: dimension mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  TML_REQUIRE(cols_ == other.rows_, "Matrix::multiply: dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) {
-        out(r, c) += a * other(k, c);
-      }
-    }
-  }
-  return out;
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
-  const std::size_t n = a.rows();
-  TML_REQUIRE(a.cols() == n, "solve_linear_system: matrix must be square");
-  TML_REQUIRE(b.size() == n, "solve_linear_system: rhs dimension mismatch");
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    std::size_t pivot = col;
-    double best = std::abs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a(r, col)) > best) {
-        best = std::abs(a(r, col));
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) {
-      throw NumericError("solve_linear_system: singular matrix at column " +
-                         std::to_string(col));
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    const double d = a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) / d;
-      if (factor == 0.0) continue;
-      a(r, col) = 0.0;
-      for (std::size_t c = col + 1; c < n; ++c) a(r, c) -= factor * a(col, c);
-      b[r] -= factor * b[col];
-    }
-  }
-
-  std::vector<double> x(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = b[i];
-    for (std::size_t c = i + 1; c < n; ++c) acc -= a(i, c) * x[c];
-    x[i] = acc / a(i, i);
-  }
-  return x;
-}
 
 double norm2(std::span<const double> v) {
   double acc = 0.0;

@@ -13,24 +13,6 @@ namespace tml {
 
 namespace {
 
-/// Scheduler direction implied by a bounded P/R operator (PRISM resolution;
-/// mirrors the checker).
-Objective property_objective(const StateFormula& property) {
-  if (property.quantifier()) {
-    return *property.quantifier() == Quantifier::kMax ? Objective::kMaximize
-                                                      : Objective::kMinimize;
-  }
-  switch (property.comparison()) {
-    case Comparison::kLess:
-    case Comparison::kLessEqual:
-      return Objective::kMaximize;
-    case Comparison::kGreater:
-    case Comparison::kGreaterEqual:
-      return Objective::kMinimize;
-  }
-  return Objective::kMaximize;
-}
-
 void require_repairable(const StateFormula& property) {
   if (property.kind() == StateFormula::Kind::kProb) {
     const PathFormula& path = property.path();
@@ -446,38 +428,48 @@ EnvelopeRepairResult model_repair_envelope(
 
 namespace {
 
-/// Greedy policy achieving the given reachability values.
-Policy reachability_policy(const CompiledModel& model, const StateSet& goal,
-                           Objective objective) {
-  const std::vector<double> values = mdp_reachability(model, goal, objective);
+/// The scheduler check() resolves for `property` on the MDP, and the value
+/// it achieves from the initial state: one solve of the checker's engine for
+/// the operator (interval iteration on P[stay U goal], value iteration on
+/// R[F goal]), the P policy read greedily off its values.
+struct PropertySolve {
   Policy policy;
-  policy.choice_index.assign(model.num_states(), 0);
-  for (StateId s = 0; s < model.num_states(); ++s) {
-    policy.choice_index[s] =
-        best_choice(model, s, objective, [&](std::uint32_t c) {
-          return expectation(model, c, values);
-        }).choice;
-  }
-  return policy;
-}
+  double value = 0.0;
+};
 
-Policy property_policy(const Mdp& mdp, const StateFormula& property) {
-  const Objective objective = property_objective(property);
+PropertySolve solve_property(const Mdp& mdp, const StateFormula& property) {
+  const Objective objective = resolve_objective(property);
   const CompiledModel model = compile(mdp);
+  const StateId init = model.initial_state();
   if (property.kind() == StateFormula::Kind::kReward) {
     TML_REQUIRE(property.reward_path_kind() ==
                     StateFormula::RewardPathKind::kReachability,
                 "mdp_model_repair: cumulative-reward properties need a "
                 "time-varying policy; repair the induced DTMC directly");
     const StateSet goal = satisfying_states(model, property.reward_target());
-    return total_reward_to_target(model, goal, objective).policy;
+    SolveResult result = total_reward_to_target(model, goal, objective);
+    require_finished(result, "total_reward_to_target");
+    return {std::move(result.policy), result.values[init]};
   }
   const PathFormula& path = property.path();
   TML_REQUIRE(!path.step_bound(),
               "mdp_model_repair: step-bounded paths need a time-varying "
               "policy; repair the induced DTMC directly");
+  const StateSet stay = path.kind() == PathFormula::Kind::kUntil
+                            ? satisfying_states(model, path.left())
+                            : StateSet(model.num_states(), true);
   const StateSet goal = satisfying_states(model, path.right());
-  return reachability_policy(model, goal, objective);
+  const SolveResult result = mdp_until_bracket(model, stay, goal, objective);
+  require_finished(result, "mdp_until_bracket");
+  PropertySolve solved{Policy{}, result.values[init]};
+  solved.policy.choice_index.resize(model.num_states());
+  for (StateId s = 0; s < model.num_states(); ++s) {
+    solved.policy.choice_index[s] =
+        best_choice(model, s, objective, [&](std::uint32_t c) {
+          return expectation(model, c, result.values);
+        }).choice;
+  }
+  return solved;
 }
 
 bool same_policy(const Policy& a, const Policy& b) {
@@ -495,7 +487,7 @@ MdpModelRepairResult mdp_model_repair(
   mdp.validate();
 
   MdpModelRepairResult result;
-  Policy policy = property_policy(mdp, property);
+  Policy policy = solve_property(mdp, property).policy;
 
   for (std::size_t round = 0; round < max_policy_rounds; ++round) {
     result.policy_rounds = round + 1;
@@ -507,11 +499,11 @@ MdpModelRepairResult mdp_model_repair(
     }
     Mdp repaired = rebuild(result.inner.variable_values);
     repaired.validate();
-    const Policy repaired_policy = property_policy(repaired, property);
-    const bool mdp_satisfied = check(repaired, property).satisfied;
+    // The MDP-level verdict, read off the same solve as the next policy.
+    PropertySolve solved = solve_property(repaired, property);
     result.repaired_mdp = std::move(repaired);
-    result.policy_stable = same_policy(policy, repaired_policy);
-    if (mdp_satisfied) {
+    result.policy_stable = same_policy(policy, solved.policy);
+    if (compare(solved.value, property.comparison(), property.bound())) {
       return result;
     }
     if (result.policy_stable) {
@@ -520,7 +512,7 @@ MdpModelRepairResult mdp_model_repair(
       result.inner.status = SolveStatus::kInfeasible;
       return result;
     }
-    policy = repaired_policy;
+    policy = std::move(solved.policy);
   }
   result.inner.status = SolveStatus::kIterationLimit;
   return result;

@@ -32,10 +32,6 @@ double choice_q(const CompiledModel& m, StateId s, std::uint32_t c,
   return q;
 }
 
-bool better(double a, double b, Objective objective) {
-  return objective == Objective::kMaximize ? a > b : a < b;
-}
-
 /// Global choice of each state of a DTMC (its only one).
 std::span<const std::uint32_t> dtmc_rows(const CompiledModel& model) {
   return std::span<const std::uint32_t>(model.row_start())
@@ -331,21 +327,6 @@ std::vector<std::vector<double>> q_values_discounted(
   return q;
 }
 
-Policy greedy_policy(const std::vector<std::vector<double>>& q,
-                     Objective objective) {
-  Policy policy;
-  policy.choice_index.resize(q.size());
-  for (std::size_t s = 0; s < q.size(); ++s) {
-    TML_REQUIRE(!q[s].empty(), "greedy_policy: state " << s << " has no Q row");
-    std::uint32_t best = 0;
-    for (std::uint32_t c = 1; c < q[s].size(); ++c) {
-      if (better(q[s][c], q[s][best], objective)) best = c;
-    }
-    policy.choice_index[s] = best;
-  }
-  return policy;
-}
-
 std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
                                                const Policy& policy,
                                                double discount) {
@@ -621,6 +602,32 @@ std::vector<double> EnvelopeLU::solve(std::span<const double> b) const {
     double* yk = y.data() + first_[k];
     y[k] /= diag_[k];
     for (std::size_t m = 0; m < k - first_[k]; ++m) yk[m] -= uk[m] * y[k];
+  }
+  std::vector<double> x(n);
+  for (std::size_t k = 0; k < n; ++k) x[order_[k]] = y[k];
+  return x;
+}
+
+std::vector<double> EnvelopeLU::solve_transposed(
+    std::span<const double> b) const {
+  const std::size_t n = size();
+  TML_REQUIRE(b.size() == n,
+              "EnvelopeLU::solve_transposed: rhs dimension mismatch");
+  std::vector<double> y(n);
+  for (std::size_t k = 0; k < n; ++k) y[k] = b[order_[k]];
+  // Uᵀ y = b, U's stored columns being the rows of Uᵀ; then Lᵀ x = y, L's
+  // stored rows being the columns of Lᵀ.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* uk = upper_.data() + offset_[k];
+    const double* yk = y.data() + first_[k];
+    double acc = y[k];
+    for (std::size_t m = 0; m < k - first_[k]; ++m) acc -= uk[m] * yk[m];
+    y[k] = acc / diag_[k];
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    const double* lk = lower_.data() + offset_[k];
+    double* yk = y.data() + first_[k];
+    for (std::size_t m = 0; m < k - first_[k]; ++m) yk[m] -= lk[m] * y[k];
   }
   std::vector<double> x(n);
   for (std::size_t k = 0; k < n; ++k) x[order_[k]] = y[k];

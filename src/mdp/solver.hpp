@@ -1,5 +1,6 @@
-// Dynamic-programming solvers for MDPs: value iteration, Q-values,
-// greedy policy extraction, and exact policy evaluation.
+// Dynamic-programming solvers for MDPs: value iteration, policy
+// iteration, Q-values, exact policy evaluation — and the one sparse direct
+// solver of the library.
 //
 // Two reward criteria are supported:
 //  * discounted infinite-horizon (`discount < 1`), the standard RL setting
@@ -21,6 +22,9 @@
 // a computed pivot that is not positive and finite throws NumericError.
 // The cost is O(n·b²) time and O(n·b) memory for envelope width b (about
 // C+1 on a C-capacity queue mesh) instead of the dense O(n³) and O(n²).
+// Steady-state analysis (src/checker/steady_state) factors its left
+// systems x·(I − P') = e the same way and solves them transposed
+// (solve_transposed).
 //
 // The prob0/prob1 precomputation lives in src/mdp/graph (reach_prob01);
 // the PCTL-specific machinery (bounded until, until/reachability
@@ -191,11 +195,6 @@ std::vector<std::vector<double>> q_values_discounted(
     const CompiledModel& model, std::span<const double> values,
     double discount, std::size_t threads = 0);
 
-/// Greedy deterministic policy for given Q-values (ties resolved to the
-/// smallest choice index, which keeps results deterministic).
-Policy greedy_policy(const std::vector<std::vector<double>>& q,
-                     Objective objective);
-
 /// Exact policy evaluation for the discounted criterion by one sparse
 /// direct solve on the policy-selected rows (the induced chain is never
 /// materialized — the CSR rows of the chosen choices feed the system
@@ -282,6 +281,9 @@ class EnvelopeLU {
 
   /// Solves A x = b through the stored factors.
   std::vector<double> solve(std::span<const double> b) const;
+
+  /// Solves Aᵀ x = b through the same factors (Aᵀ = Uᵀ·Lᵀ).
+  std::vector<double> solve_transposed(std::span<const double> b) const;
 
   std::size_t size() const { return diag_.size(); }
 

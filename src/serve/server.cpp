@@ -142,7 +142,17 @@ struct Server::Impl {
 
   // -- request handling ----------------------------------------------------
 
-  Json::Object run_check(const Request& request);
+  /// A check's outcome as a value: the response, or an error kind and
+  /// message when `error_kind` is non-empty. run_check catches on the pool
+  /// worker, so no exception object crosses to the connection thread.
+  struct CheckOutcome {
+    Json::Object response;
+    std::string error_kind;
+    std::string error_message;
+  };
+
+  CheckOutcome run_check(const Request& request);
+  Json::Object check_response(const Request& request);
   std::string handle(const std::string& line);
 
   std::uint64_t uptime_ms() const {
@@ -167,7 +177,17 @@ struct Server::Impl {
   void reap_finished_locked();
 };
 
-Json::Object Server::Impl::run_check(const Request& request) {
+Server::Impl::CheckOutcome Server::Impl::run_check(const Request& request) {
+  try {
+    return {check_response(request), {}, {}};
+  } catch (const WireError& e) {
+    return {{}, e.kind(), e.what()};
+  } catch (const std::exception& e) {
+    return {{}, "internal", e.what()};
+  }
+}
+
+Json::Object Server::Impl::check_response(const Request& request) {
   Json::Object response;
 
   ModelCache::Result cached;
@@ -289,26 +309,26 @@ std::string Server::Impl::handle(const std::string& line) {
         // and writes responses; the engine work happens on a worker. The
         // task owns the promise, so a task dropped at pool teardown breaks
         // it and future.get() throws instead of hanging.
-        auto promise = std::make_shared<std::promise<Json::Object>>();
-        std::future<Json::Object> future = promise->get_future();
+        auto promise = std::make_shared<std::promise<CheckOutcome>>();
+        std::future<CheckOutcome> future = promise->get_future();
         ThreadPool::global().submit([this, promise, &request] {
-          try {
-            promise->set_value(run_check(request));
-          } catch (...) {
-            promise->set_exception(std::current_exception());
-          }
+          promise->set_value(run_check(request));
         });
+        CheckOutcome outcome;
         try {
-          response = future.get();
-        } catch (...) {
-          in_flight.fetch_sub(1, std::memory_order_acq_rel);
-          g_depth.set(static_cast<double>(
-              in_flight.load(std::memory_order_relaxed)));
-          throw;
+          outcome = future.get();
+        } catch (const std::future_error& e) {
+          outcome = {{}, "internal", e.what()};
         }
         in_flight.fetch_sub(1, std::memory_order_acq_rel);
         g_depth.set(
             static_cast<double>(in_flight.load(std::memory_order_relaxed)));
+        if (!outcome.error_kind.empty()) {
+          c_errors.bump();
+          return error_response(request.id, outcome.error_kind,
+                                outcome.error_message);
+        }
+        response = std::move(outcome.response);
         break;
       }
     }

@@ -255,6 +255,75 @@ inline std::vector<std::optional<BigRational>> exact_total_reward(
   return values;
 }
 
+/// Exact long-run occupancy of a one-choice model from its initial state.
+/// The bottom SCCs come from plain reachability closures (s is recurrent
+/// iff every state it reaches reaches it back; its bottom is the set it
+/// reaches). Each bottom's stationary distribution solves π·(P − I) = 0
+/// with one equation replaced by Σ π = 1 through exact_solve, and is
+/// weighted by exact_reachability of the bottom from the initial state.
+inline std::vector<BigRational> exact_long_run(const CompiledModel& model) {
+  const std::size_t n = model.num_states();
+  TML_REQUIRE(model.num_choices() == n,
+              "oracle::exact_long_run: model has more than one choice in "
+              "some state");
+  const auto& choice_start = model.choice_start();
+  const auto& target = model.target();
+  const auto& prob = model.prob();
+  std::vector<StateSet> reach(n, StateSet(n, false));
+  for (StateId s = 0; s < n; ++s) {
+    std::vector<StateId> stack{s};
+    reach[s][s] = true;
+    while (!stack.empty()) {
+      const StateId u = stack.back();
+      stack.pop_back();
+      for (std::uint32_t k = choice_start[u]; k < choice_start[u + 1]; ++k) {
+        if (prob[k] > 0.0 && !reach[s][target[k]]) {
+          reach[s][target[k]] = true;
+          stack.push_back(target[k]);
+        }
+      }
+    }
+  }
+  const StateId init = model.initial_state();
+  std::vector<BigRational> occupancy(n);
+  StateSet done(n, false);
+  for (StateId r = 0; r < n; ++r) {
+    bool recurrent = !done[r];
+    for (StateId t = 0; t < n && recurrent; ++t) {
+      recurrent = !reach[r][t] || reach[t][r];
+    }
+    if (!recurrent) continue;
+    std::vector<StateId> component;
+    std::vector<std::size_t> local(n, n);
+    for (StateId t = 0; t < n; ++t) {
+      if (!reach[r][t]) continue;
+      done[t] = true;
+      local[t] = component.size();
+      component.push_back(t);
+    }
+    if (!reach[init][r]) continue;
+    const std::size_t k = component.size();
+    std::vector<std::vector<BigRational>> a(k, std::vector<BigRational>(k));
+    std::vector<BigRational> b(k);
+    for (std::size_t j = 0; j < k; ++j) a[j][j] = BigRational(-1);
+    for (std::size_t i = 0; i < k; ++i) {
+      const StateId s = component[i];
+      for (std::uint32_t e = choice_start[s]; e < choice_start[s + 1]; ++e) {
+        a[local[target[e]]][i] += BigRational::from_double(prob[e]);
+      }
+    }
+    for (std::size_t i = 0; i < k; ++i) a[k - 1][i] = BigRational(1);
+    b[k - 1] = BigRational(1);
+    const std::vector<BigRational> pi = exact_solve(std::move(a), std::move(b));
+    StateSet member(n, false);
+    for (const StateId s : component) member[s] = true;
+    const BigRational weight =
+        exact_reachability(model, member, Objective::kMaximize)[init];
+    for (std::size_t i = 0; i < k; ++i) occupancy[component[i]] = weight * pi[i];
+  }
+  return occupancy;
+}
+
 // ---------------------------------------------------------------------------
 // Seeded random model generator
 

@@ -1,4 +1,5 @@
-// Unit tests for the common utilities: matrix/linear solve, RNG, table.
+// Unit tests for the common utilities: vector helpers, RNG, table, and the
+// dense reference solve the sparse solver tests check against.
 
 #include <cmath>
 
@@ -7,93 +8,59 @@
 #include "src/common/matrix.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/table.hpp"
+#include "tests/dense.hpp"
 
 namespace tml {
 namespace {
 
-TEST(Matrix, IdentityApply) {
-  const Matrix id = Matrix::identity(3);
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  EXPECT_EQ(id.apply(x), x);
-}
-
-TEST(Matrix, ApplyComputesProduct) {
-  Matrix m(2, 3);
-  m(0, 0) = 1.0;
-  m(0, 2) = 2.0;
-  m(1, 1) = -1.0;
-  const std::vector<double> x{1.0, 4.0, 5.0};
-  const std::vector<double> y = m.apply(x);
-  EXPECT_DOUBLE_EQ(y[0], 11.0);
-  EXPECT_DOUBLE_EQ(y[1], -4.0);
-}
-
-TEST(Matrix, ApplyDimensionMismatchThrows) {
-  Matrix m(2, 3);
-  const std::vector<double> x{1.0};
-  EXPECT_THROW(m.apply(x), Error);
-}
-
-TEST(Matrix, MultiplyAgainstHandResult) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 3.0;
-  a(1, 1) = 4.0;
-  const Matrix b = a.multiply(Matrix::identity(2));
-  EXPECT_DOUBLE_EQ(b(1, 0), 3.0);
-  const Matrix c = a.multiply(a);
-  EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 15.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 22.0);
-}
-
 TEST(LinearSolve, SolvesKnownSystem) {
   // 2x + y = 5 ; x - y = 1  →  x = 2, y = 1.
-  Matrix a(2, 2);
+  dense::Matrix a(2, 2);
   a(0, 0) = 2.0;
   a(0, 1) = 1.0;
   a(1, 0) = 1.0;
   a(1, 1) = -1.0;
-  const std::vector<double> x = solve_linear_system(a, {5.0, 1.0});
+  const std::vector<double> x = dense::solve(a, {5.0, 1.0});
   EXPECT_NEAR(x[0], 2.0, 1e-12);
   EXPECT_NEAR(x[1], 1.0, 1e-12);
 }
 
 TEST(LinearSolve, PivotingHandlesZeroDiagonal) {
-  Matrix a(2, 2);
+  dense::Matrix a(2, 2);
   a(0, 0) = 0.0;
   a(0, 1) = 1.0;
   a(1, 0) = 1.0;
   a(1, 1) = 0.0;
-  const std::vector<double> x = solve_linear_system(a, {3.0, 4.0});
+  const std::vector<double> x = dense::solve(a, {3.0, 4.0});
   EXPECT_NEAR(x[0], 4.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(LinearSolve, SingularThrows) {
-  Matrix a(2, 2);
+  dense::Matrix a(2, 2);
   a(0, 0) = 1.0;
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;
-  EXPECT_THROW(solve_linear_system(a, {1.0, 2.0}), NumericError);
+  EXPECT_THROW(dense::solve(a, {1.0, 2.0}), NumericError);
 }
 
 TEST(LinearSolve, RandomRoundTrip) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 2 + rng.index(6);
-    Matrix a(n, n);
+    dense::Matrix a(n, n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
       a(i, i) += 3.0;  // diagonally dominant ⇒ nonsingular
     }
     std::vector<double> x_true(n);
     for (double& v : x_true) v = rng.uniform(-2.0, 2.0);
-    const std::vector<double> b = a.apply(x_true);
-    const std::vector<double> x = solve_linear_system(a, b);
+    std::vector<double> b(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) b[i] += a(i, j) * x_true[j];
+    }
+    const std::vector<double> x = dense::solve(a, b);
     EXPECT_LT(max_abs_diff(x, x_true), 1e-9);
   }
 }

@@ -17,12 +17,12 @@
 #include "src/casestudies/generator.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/steady_state.hpp"
-#include "src/common/matrix.hpp"
 #include "src/common/rng.hpp"
 #include "src/irl/max_ent_irl.hpp"
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/graph.hpp"
 #include "src/mdp/solver.hpp"
+#include "tests/dense.hpp"
 
 namespace tml {
 namespace {
@@ -259,7 +259,7 @@ std::vector<double> dtmc_reachability(const Dtmc& chain,
   }
   if (unknowns.empty()) return values;
 
-  Matrix a = Matrix::identity(unknowns.size());
+  dense::Matrix a = dense::Matrix::identity(unknowns.size());
   std::vector<double> b(unknowns.size(), 0.0);
   for (std::size_t i = 0; i < unknowns.size(); ++i) {
     const StateId s = unknowns[i];
@@ -271,7 +271,7 @@ std::vector<double> dtmc_reachability(const Dtmc& chain,
       }
     }
   }
-  const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
+  const std::vector<double> x = dense::solve(std::move(a), std::move(b));
   for (std::size_t i = 0; i < unknowns.size(); ++i) values[unknowns[i]] = x[i];
   return values;
 }

@@ -37,6 +37,7 @@
 #include "src/checker/interval.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
+#include "src/checker/steady_state.hpp"
 #include "src/common/budget.hpp"
 #include "src/common/stats.hpp"
 #include "src/irl/max_ent_irl.hpp"
@@ -230,9 +231,16 @@ TEST_F(FaultTest, SolverPivotForcedSingularIsTypedNumericError) {
                NumericError);
   EXPECT_THROW((void)check(chain, *parse_pctl("P=? [ F \"goal\" ]")),
                NumericError);
+  // Steady-state analysis factors through the same LU.
+  Dtmc flip(2);
+  flip.set_transitions(0, {Transition{0, 0.5}, Transition{1, 0.5}});
+  flip.set_transitions(1, {Transition{0, 0.5}, Transition{1, 0.5}});
+  const CompiledModel ergodic = compile(flip);
+  EXPECT_THROW((void)stationary_distribution(ergodic, {0, 1}), NumericError);
   EXPECT_GT(fault::hits("solver.pivot"), 0u);
   fault::disarm_all();
   EXPECT_NEAR(dtmc_reachability(chain, goal)[2], 0.5, 1e-12);
+  EXPECT_NEAR(stationary_distribution(ergodic, {0, 1})[1], 0.5, 1e-12);
 }
 
 TEST_F(FaultTest, ParametricPivotForcedSingular) {

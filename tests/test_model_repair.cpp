@@ -1,5 +1,6 @@
 // Tests for Model Repair (§IV-A) on small chains with known answers.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -230,6 +231,55 @@ TEST(MdpModelRepair, RepairsThroughPolicy) {
     EXPECT_TRUE(check(*result.repaired_mdp, *property).satisfied);
   }
   EXPECT_GE(result.policy_rounds, 1u);
+}
+
+TEST(MdpModelRepair, UntilPolicyHonoursLeftOperand) {
+  // From 0 ("ok"), "detour" reaches the goal surely but through 1, which is
+  // not "ok"; "direct" reaches it with probability 0.5 − v. Pmax[F goal]
+  // picks the detour (1 > 0.5), Pmax["ok" U goal] picks direct (0.5 > 0):
+  // the repair must perturb the chain of the U policy.
+  auto build = [](double v) {
+    Mdp mdp(4);
+    mdp.add_choice(0, "detour", {Transition{1, 1.0}});
+    mdp.add_choice(0, "direct", {Transition{3, 0.5 - v}, Transition{2, 0.5 + v}});
+    mdp.add_choice(1, "go", {Transition{3, 1.0}});
+    mdp.add_choice(2, "stay", {Transition{2, 1.0}});
+    mdp.add_choice(3, "stay", {Transition{3, 1.0}});
+    mdp.add_label(0, "ok");
+    mdp.add_label(3, "goal");
+    return mdp;
+  };
+  const StateFormulaPtr property = parse_pctl("P<=0.4 [ \"ok\" U \"goal\" ]");
+  std::vector<Dtmc> induced_chains;
+  auto scheme_for = [&](const Dtmc& induced) {
+    induced_chains.push_back(induced);
+    PerturbationScheme scheme(induced);
+    const Var v = scheme.add_variable("v", 0.0, 0.3);
+    const auto& row = induced.transitions(0);
+    if (std::any_of(row.begin(), row.end(),
+                    [](const Transition& t) { return t.target == 3; })) {
+      scheme.attach_balanced(v, 0, /*raise=*/2, /*lower=*/3);
+    }
+    return scheme;
+  };
+  auto rebuild = [&](std::span<const double> values) {
+    return build(values[0]);
+  };
+  ModelRepairConfig config;
+  config.constraint_margin = 1e-6;
+  const MdpModelRepairResult result =
+      mdp_model_repair(build(0.0), *property, scheme_for, rebuild, config);
+  ASSERT_FALSE(induced_chains.empty());
+  const auto& row = induced_chains[0].transitions(0);
+  ASSERT_EQ(row.size(), 2u) << "repair got the F policy's chain";
+  EXPECT_EQ(row[0].target, 3u);
+  EXPECT_DOUBLE_EQ(row[0].probability, 0.5);
+  ASSERT_TRUE(result.inner.feasible());
+  EXPECT_NEAR(result.inner.variable_values[0], 0.1, 1e-3);
+  EXPECT_EQ(result.policy_rounds, 1u);
+  EXPECT_TRUE(result.policy_stable);
+  ASSERT_TRUE(result.repaired_mdp.has_value());
+  EXPECT_TRUE(check(*result.repaired_mdp, *property).satisfied);
 }
 
 }  // namespace

@@ -15,8 +15,10 @@
 #include "src/casestudies/generator.hpp"
 #include "src/common/matrix.hpp"
 #include "src/common/rng.hpp"
+#include "src/mdp/bellman.hpp"
 #include "src/mdp/graph.hpp"
 #include "src/mdp/prism_parser.hpp"
+#include "tests/dense.hpp"
 
 namespace tml {
 namespace {
@@ -212,9 +214,17 @@ TEST(QValues, MatchManualComputation) {
 }
 
 TEST(QValues, GreedyPolicyTiesToSmallestIndex) {
-  const std::vector<std::vector<double>> q{{1.0, 1.0}, {0.0}};
-  const Policy max = greedy_policy(q, Objective::kMaximize);
-  EXPECT_EQ(max.choice_index[0], 0u);
+  Mdp mdp(1);
+  mdp.add_choice(0, "a", {Transition{0, 1.0}});
+  mdp.add_choice(0, "b", {Transition{0, 1.0}});
+  const CompiledModel model = compile(mdp);
+  for (const Objective objective :
+       {Objective::kMaximize, Objective::kMinimize}) {
+    const BestChoice best =
+        best_choice(model, 0, objective, [](std::uint32_t) { return 1.0; });
+    EXPECT_EQ(best.choice, 0u);
+    EXPECT_EQ(best.value, 1.0);
+  }
 }
 
 TEST(PolicyIteration, MatchesValueIteration) {
@@ -293,8 +303,8 @@ SparseMatrix random_m_matrix(Rng& rng, std::size_t n) {
   return a;
 }
 
-Matrix dense_of(const SparseMatrix& a) {
-  Matrix d(a.size(), a.size());
+dense::Matrix dense_of(const SparseMatrix& a) {
+  dense::Matrix d(a.size(), a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (std::uint32_t k = a.row_start[i]; k < a.row_start[i + 1]; ++k) {
       d(i, a.col[k]) += a.value[k];
@@ -311,7 +321,28 @@ TEST(EnvelopeLU, MatchesDenseSolveOnRandomMMatrices) {
     std::vector<double> b(n);
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
     const std::vector<double> sparse = EnvelopeLU(a).solve(b);
-    const std::vector<double> dense = solve_linear_system(dense_of(a), b);
+    const std::vector<double> dense = dense::solve(dense_of(a), b);
+    double scale = 0.0;
+    for (double v : dense) scale = std::max(scale, std::abs(v));
+    EXPECT_LE(max_abs_diff(sparse, dense), 1e-12 * scale)
+        << "trial=" << trial << " n=" << n;
+  }
+}
+
+TEST(EnvelopeLU, SolveTransposedMatchesDenseSolve) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.index(200);
+    const SparseMatrix a = random_m_matrix(rng, n);
+    std::vector<double> b(n);
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    const dense::Matrix d = dense_of(a);
+    dense::Matrix t(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) t(j, i) = d(i, j);
+    }
+    const std::vector<double> sparse = EnvelopeLU(a).solve_transposed(b);
+    const std::vector<double> dense = dense::solve(std::move(t), b);
     double scale = 0.0;
     for (double v : dense) scale = std::max(scale, std::abs(v));
     EXPECT_LE(max_abs_diff(sparse, dense), 1e-12 * scale)
@@ -430,7 +461,7 @@ std::vector<double> dense_total_reward(const CompiledModel& model,
       unknowns.push_back(s);
     }
   }
-  Matrix a = Matrix::identity(unknowns.size());
+  dense::Matrix a = dense::Matrix::identity(unknowns.size());
   std::vector<double> b(unknowns.size());
   for (std::size_t i = 0; i < unknowns.size(); ++i) {
     const std::uint32_t c = model.first_choice(unknowns[i]);
@@ -442,7 +473,7 @@ std::vector<double> dense_total_reward(const CompiledModel& model,
       }
     }
   }
-  const std::vector<double> x = solve_linear_system(std::move(a), std::move(b));
+  const std::vector<double> x = dense::solve(std::move(a), std::move(b));
   std::vector<double> values(n, kInf);
   for (StateId s = 0; s < n; ++s) {
     if (targets[s]) values[s] = 0.0;

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 
+#include "src/casestudies/generator.hpp"
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/mdp/simulate.hpp"
+#include "tests/dense.hpp"
 
 namespace tml {
 namespace {
@@ -108,6 +111,48 @@ TEST(StationaryDistribution, RejectsNonClosedSet) {
   chain.set_transitions(1, {Transition{2, 1.0}});
   chain.set_transitions(2, {Transition{2, 1.0}});
   EXPECT_THROW(stationary_distribution(compile(chain), {0, 1}), Error);
+}
+
+TEST(StationaryDistribution, ClosedReducibleSetIsNumericError) {
+  // Two absorbing states form a closed set with two recurrent classes: the
+  // stationary distribution is not unique, and the solve says so.
+  Dtmc chain(2);
+  chain.set_transitions(0, {Transition{0, 1.0}});
+  chain.set_transitions(1, {Transition{1, 1.0}});
+  EXPECT_THROW(stationary_distribution(compile(chain), {0, 1}), NumericError);
+}
+
+TEST(StationaryDistribution, QueueMeshMatchesDenseSolve) {
+  // The C = 40 queueing mesh is one bottom component of all its 1681
+  // states, so a state id is its own index in the component. Dense
+  // reference: π·(P − I) = 0 with the last equation replaced by Σ π = 1.
+  GeneratorSpec spec;
+  spec.family = GeneratorFamily::kQueueMesh;
+  spec.size = 40;
+  spec.seed = 2;
+  const CompiledModel model = compile(generate_queue_mesh(spec));
+  const auto bottoms = bottom_sccs(model);
+  ASSERT_EQ(bottoms.size(), 1u);
+  const std::vector<StateId>& component = bottoms[0];
+  ASSERT_EQ(component.size(), 1681u);
+  const std::size_t k = component.size();
+  dense::Matrix a(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    a(i, i) -= 1.0;
+    const StateId s = component[i];
+    for (std::uint32_t e = model.choice_start()[s];
+         e < model.choice_start()[s + 1]; ++e) {
+      a(model.target()[e], i) += model.prob()[e];
+    }
+  }
+  for (std::size_t i = 0; i < k; ++i) a(k - 1, i) = 1.0;
+  std::vector<double> b(k, 0.0);
+  b[k - 1] = 1.0;
+  const std::vector<double> want = dense::solve(std::move(a), std::move(b));
+  const std::vector<double> pi = stationary_distribution(model, component);
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_NEAR(pi[i], want[i], 1e-12) << "state " << component[i];
+  }
 }
 
 TEST(LongRun, ErgodicMatchesStationary) {
