@@ -7,26 +7,30 @@ namespace tml {
 
 namespace {
 
+/// `where()` names the row in a message; it is only called when a check
+/// fails, so validating a valid model builds no strings.
+template <class Where>
 void check_distribution(const std::vector<Transition>& transitions,
                         std::size_t num_states, double tol,
-                        const std::string& where) {
+                        const Where& where) {
   if (transitions.empty()) {
-    throw ModelError(where + ": empty distribution");
+    throw ModelError(where() + ": empty distribution");
   }
   double sum = 0.0;
   for (const Transition& t : transitions) {
     if (t.target >= num_states) {
-      throw ModelError(where + ": target state " + std::to_string(t.target) +
-                       " out of range");
+      throw ModelError(where() + ": target state " +
+                       std::to_string(t.target) + " out of range");
     }
     if (t.probability < -tol || t.probability > 1.0 + tol) {
-      throw ModelError(where + ": probability " +
+      throw ModelError(where() + ": probability " +
                        std::to_string(t.probability) + " out of [0,1]");
     }
     sum += t.probability;
   }
   if (std::abs(sum - 1.0) > tol) {
-    throw ModelError(where + ": distribution sums to " + std::to_string(sum));
+    throw ModelError(where() + ": distribution sums to " +
+                     std::to_string(sum));
   }
 }
 
@@ -112,7 +116,7 @@ double Mdp::state_reward(StateId state) const {
   return state_rewards_[state];
 }
 
-std::uint32_t Mdp::label_id(const std::string& label) {
+std::uint32_t Mdp::declare_label(const std::string& label) {
   TML_REQUIRE(!label.empty(), "Mdp: empty label");
   auto it = label_ids_.find(label);
   if (it != label_ids_.end()) return it->second;
@@ -124,10 +128,16 @@ std::uint32_t Mdp::label_id(const std::string& label) {
 
 void Mdp::add_label(StateId state, const std::string& label) {
   TML_REQUIRE(state < states_.size(), "Mdp::add_label: state out of range");
-  const std::uint32_t id = label_id(label);
+  add_label(state, declare_label(label));
+}
+
+void Mdp::add_label(StateId state, std::uint32_t label) {
+  TML_REQUIRE(state < states_.size(), "Mdp::add_label: state out of range");
+  TML_REQUIRE(label < label_names_.size(),
+              "Mdp::add_label: undeclared label id " << label);
   auto& labels = states_[state].labels;
-  if (std::find(labels.begin(), labels.end(), id) == labels.end()) {
-    labels.push_back(id);
+  if (std::find(labels.begin(), labels.end(), label) == labels.end()) {
+    labels.push_back(label);
   }
 }
 
@@ -196,8 +206,10 @@ void Mdp::validate(double tol) const {
     }
     for (std::size_t c = 0; c < state.choices.size(); ++c) {
       check_distribution(state.choices[c].transitions, states_.size(), tol,
-                         "Mdp state " + std::to_string(s) + " choice " +
-                             std::to_string(c));
+                         [&] {
+                           return "Mdp state " + std::to_string(s) +
+                                  " choice " + std::to_string(c);
+                         });
     }
   }
 }
@@ -392,7 +404,7 @@ void Dtmc::validate(double tol) const {
   }
   for (std::size_t s = 0; s < rows_.size(); ++s) {
     check_distribution(rows_[s].transitions, rows_.size(), tol,
-                       "Dtmc state " + std::to_string(s));
+                       [&] { return "Dtmc state " + std::to_string(s); });
   }
 }
 

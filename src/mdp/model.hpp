@@ -114,7 +114,12 @@ class Mdp {
 
   // -- labels -------------------------------------------------------------
 
+  /// Registers (or looks up) a label name and returns its id; a builder
+  /// that labels many states resolves the name once and then calls
+  /// `add_label(state, id)`.
+  std::uint32_t declare_label(const std::string& label);
   void add_label(StateId state, const std::string& label);
+  void add_label(StateId state, std::uint32_t label);
   bool has_label(StateId state, const std::string& label) const;
 
   /// Returns the bitset of states carrying `label` (all-false if the label
@@ -158,8 +163,6 @@ class Mdp {
     std::vector<Choice> choices;
     std::vector<std::uint32_t> labels;  // indices into label_names_
   };
-
-  std::uint32_t label_id(const std::string& label);
 
   std::vector<StateData> states_;
   std::vector<double> state_rewards_;

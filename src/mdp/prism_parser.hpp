@@ -16,6 +16,15 @@
 // This makes the export/import pair a faithful round trip and lets models
 // authored for PRISM (in this single-module explicit style) be loaded into
 // the tml pipeline directly.
+//
+// The lexer scans a view of the source without copying it: identifiers
+// and strings are views, integers and numbers go through std::from_chars,
+// and each action and label name is resolved to its id once. Each state's
+// choices are handed to the Mdp together, so every choice list and every
+// distribution is allocated once at its exact size. The grammar above and
+// the error contract (every ParseError message and its line/column, every
+// ModelError) are those of the string-copying parser this replaced;
+// tests/test_prism_parser.cpp pins them.
 
 #pragma once
 

@@ -4,14 +4,18 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "src/casestudies/generator.hpp"
 #include "src/checker/check.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/rng.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/compiled.hpp"
+#include "src/mdp/prism_parser.hpp"
 #include "src/mdp/solver.hpp"
 #include "tests/oracle.hpp"
 
@@ -373,6 +377,70 @@ TEST_P(FuzzQuotient, QuotientedCheckAgreesWithDirect) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzQuotient, ::testing::Range(0, 6));
+
+// ---------------------------------------------------------------------------
+// PRISM front end: random byte edits of generated models. Every mutant must
+// either parse to a model that validates or be rejected with ParseError or
+// ModelError; any other exception (or, under ASan, a read past the source
+// buffer) is a failure. Honours TML_FUZZ_SEED like FuzzQuotient.
+
+/// Deletes, duplicates or overwrites 1-3 bytes of `text`. Overwrites draw
+/// from the grammar's punctuation and digits, so most mutants stay close
+/// enough to the grammar to reach the deeper parse paths.
+std::string mutate_prism(Rng& rng, std::string text) {
+  static constexpr std::string_view kAlphabet = "[]:;()+'=\".|/\n0123456789";
+  const std::size_t edits = 1 + rng.index(3);
+  for (std::size_t e = 0; e < edits && !text.empty(); ++e) {
+    const std::size_t at = rng.index(text.size());
+    switch (rng.index(3)) {
+      case 0:
+        text.erase(at, 1);
+        break;
+      case 1:
+        text.insert(at, 1, text[at]);
+        break;
+      default:
+        text[at] = kAlphabet[rng.index(kAlphabet.size())];
+        break;
+    }
+  }
+  return text;
+}
+
+class FuzzPrismParser : public ::testing::TestWithParam<int> {};
+
+TEST_P(FuzzPrismParser, MutantsParseValidOrFailTyped) {
+  const std::uint64_t seed =
+      fuzz_base_seed() + static_cast<std::uint64_t>(GetParam()) * 104729;
+  Rng rng(seed);
+  GeneratorSpec spec;
+  spec.family = static_cast<GeneratorFamily>(GetParam() % 3);
+  spec.size = spec.family == GeneratorFamily::kWsnField ? 1 : 3;
+  spec.seed = seed;
+  spec.hazard_density = 0.2;
+  const std::string original = generate_prism(spec);
+
+  std::size_t accepted = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const std::string text = mutate_prism(rng, original);
+    try {
+      const PrismModel parsed = parse_prism(text);
+      parsed.mdp.validate();
+      if (parsed.type == PrismModel::Type::kDtmc) parsed.dtmc().validate();
+      ++accepted;
+    } catch (const ParseError&) {
+    } catch (const ModelError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped failure: " << e.what() << " seed=" << seed
+                    << " round=" << round << "\n" << text;
+    }
+  }
+  // Edits inside comments or the numbers' digits still parse; a run where
+  // nothing parses means the mutator no longer hits the grammar's interior.
+  EXPECT_GT(accepted, 0u) << "seed=" << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPrismParser, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace tml

@@ -17,6 +17,7 @@
 #include "src/checker/check.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/compiled.hpp"
+#include "src/mdp/export.hpp"
 #include "src/mdp/prism_parser.hpp"
 #include "src/mdp/quotient.hpp"
 
@@ -150,6 +151,40 @@ TEST(Generator, ReplicatedWsnCollapsesToReplicaCountInvariantQuotient) {
   const QuotientResult q = bisimulation_quotient(compile_spec(jittered));
   ASSERT_TRUE(q.complete);
   EXPECT_GT(q.num_blocks(), at_two);
+}
+
+TEST(Generator, ParseThenExportReproducesTheBytes) {
+  // The parser must lose nothing the exporter writes: for every family,
+  // seed and jitter, exporting the parsed model gives back the exact text.
+  const struct {
+    GeneratorFamily family;
+    std::size_t size;
+    const char* module;
+  } families[] = {{GeneratorFamily::kGridRobot, 6, "grid_robot"},
+                  {GeneratorFamily::kQueueMesh, 4, "queue_mesh"},
+                  {GeneratorFamily::kWsnField, 3, "wsn_field"}};
+  int cases = 0;
+  for (const auto& f : families) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      for (const double jitter : {0.0, 0.04}) {
+        GeneratorSpec spec;
+        spec.family = f.family;
+        spec.size = f.size;
+        spec.seed = seed;
+        spec.hazard_density = 0.05;
+        spec.jitter = jitter;
+        const std::string text = generate_prism(spec);
+        const PrismModel parsed = parse_prism(text);
+        const std::string back =
+            family_is_dtmc(f.family) ? to_prism(parsed.dtmc(), f.module)
+                                     : to_prism(parsed.mdp, f.module);
+        EXPECT_EQ(back, text) << f.module << " seed=" << seed
+                              << " jitter=" << jitter;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 120);
 }
 
 TEST(Generator, FamiliesCarryTheLabelsTheirPropertiesNeed) {

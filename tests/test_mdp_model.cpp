@@ -92,6 +92,42 @@ TEST(Mdp, LabelsAndSets) {
   EXPECT_TRUE(empty(mdp.states_with_label("unknown")));
 }
 
+TEST(Mdp, DeclaredLabelIdsMatchNamedLabels) {
+  Mdp mdp = two_state_mdp();  // labels state 1 "goal"
+  const std::uint32_t goal = mdp.declare_label("goal");
+  EXPECT_EQ(mdp.declare_label("goal"), goal);
+  const std::uint32_t init = mdp.declare_label("init");
+  mdp.add_label(0, init);
+  mdp.add_label(0, init);  // duplicate is a no-op
+  mdp.add_label(0, goal);
+  EXPECT_EQ(mdp.labels_of(0), (std::vector<std::string>{"init", "goal"}));
+  EXPECT_TRUE(mdp.states_with_label("goal")[0]);
+  EXPECT_THROW(mdp.add_label(0, std::uint32_t{7}), Error);
+  EXPECT_THROW(mdp.add_label(5, init), Error);
+}
+
+TEST(Mdp, NonStochasticRowMessageNamesStateAndChoice) {
+  Mdp mdp(2);
+  mdp.add_choice(0, "a", {Transition{1, 1.0}});
+  mdp.add_choice(1, "a", {Transition{1, 1.0}});
+  mdp.add_choice(1, "b", {Transition{0, 0.25}, Transition{1, 0.5}});
+  try {
+    mdp.validate();
+    FAIL() << "non-stochastic row accepted";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "Mdp state 1 choice 1: distribution sums to 0.750000");
+  }
+  Dtmc chain(1);
+  chain.set_transitions(0, {Transition{3, 1.0}});
+  try {
+    chain.validate();
+    FAIL() << "out-of-range target accepted";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(), "Dtmc state 0: target state 3 out of range");
+  }
+}
+
 TEST(Mdp, InitialStateChecked) {
   Mdp mdp = two_state_mdp();
   mdp.set_initial_state(1);

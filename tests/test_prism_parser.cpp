@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +234,179 @@ endmodule
 garbage
 )"),
                ParseError);
+}
+
+// ---------------------------------------------------------------------------
+// The ParseError contract: one case per diagnostic the parser can raise,
+// each pinned to its full message and 1-based line/column.
+
+constexpr const char* kModule =
+    "dtmc\n"
+    "module m\n"
+    "  s : [0..1] init 0;\n"
+    "  [] s=0 -> 1 : (s'=1);\n"
+    "  [] s=1 -> 1 : (s'=1);\n"
+    "endmodule\n";
+
+/// kModule with its first command (line 4) replaced by `command`.
+std::string with_command(const std::string& command) {
+  return "dtmc\nmodule m\n  s : [0..1] init 0;\n" + command +
+         "\n  [] s=1 -> 1 : (s'=1);\nendmodule\n";
+}
+
+struct ParseErrorCase {
+  const char* name;
+  std::string source;
+  const char* message;  // full ParseError::what()
+};
+
+std::vector<ParseErrorCase> parse_error_cases() {
+  const std::string m = kModule;
+  return {
+      {"model_type", "ctmc\nmodule m endmodule",
+       "PRISM parse error at line 1, column 1: "
+       "expected model type 'dtmc' or 'mdp'"},
+      {"expect_module", "dtmc\nmod m",
+       "PRISM parse error at line 2, column 1: expected 'module'"},
+      {"expect_identifier", "dtmc\nmodule :m\n",
+       "PRISM parse error at line 2, column 8: expected identifier"},
+      {"expect_colon", "dtmc\nmodule m\n  s [0..1] init 0;\n",
+       "PRISM parse error at line 3, column 5: expected ':'"},
+      {"expect_dots", "dtmc\nmodule m\n  s : [0 1] init 0;\n",
+       "PRISM parse error at line 3, column 10: expected '..'"},
+      {"expect_init", "dtmc\nmodule m\n  s : [0..1] 0;\n",
+       "PRISM parse error at line 3, column 14: expected 'init'"},
+      {"expect_integer", "dtmc\nmodule m\n  s : [0..x] init 0;\n",
+       "PRISM parse error at line 3, column 11: expected integer"},
+      {"state_range", "dtmc\nmodule m\n  s : [1..3] init 1;\n",
+       "PRISM parse error at line 3, column 21: state range must be [0..N]"},
+      {"initial_state", "dtmc\nmodule m\n  s : [0..1] init 5;\n",
+       "PRISM parse error at line 3, column 21: initial state out of range"},
+      {"guard_variable", with_command("  [] t=0 -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 7: unknown variable 't'"},
+      {"guard_state", with_command("  [] s=7 -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 9: guard state out of range"},
+      {"expect_arrow", with_command("  [] s=0 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 10: expected '->'"},
+      {"expect_number", with_command("  [] s=0 -> x : (s'=1);"),
+       "PRISM parse error at line 4, column 13: expected number"},
+      {"not_finite", with_command("  [] s=0 -> nan : (s'=1);"),
+       "PRISM parse error at line 4, column 13: number is not finite"},
+      {"probability_negative", with_command("  [] s=0 -> -0.5 : (s'=1);"),
+       "PRISM parse error at line 4, column 17: probability is negative"},
+      {"probability_above_one", with_command("  [] s=0 -> 1.5 : (s'=1);"),
+       "PRISM parse error at line 4, column 16: probability exceeds 1"},
+      {"update_variable", with_command("  [] s=0 -> 1 : (t'=1);"),
+       "PRISM parse error at line 4, column 19: unknown variable in update"},
+      {"expect_prime", with_command("  [] s=0 -> 1 : (s=1);"),
+       "PRISM parse error at line 4, column 19: expected '''"},
+      {"update_target", with_command("  [] s=0 -> 1 : (s'=9);"),
+       "PRISM parse error at line 4, column 22: update target out of range"},
+      {"expect_semicolon", with_command("  [] s=0 -> 1 : (s'=1)"),
+       "PRISM parse error at line 5, column 3: expected ';'"},
+      {"expect_quote", m + "label done = (s=1);\n",
+       "PRISM parse error at line 7, column 7: expected '\"'"},
+      {"unterminated_string", m + "label \"done = (s=1);\n",
+       "PRISM parse error at line 8, column 1: unterminated string"},
+      {"expect_paren", m + "label \"done\" = s=1;\n",
+       "PRISM parse error at line 7, column 16: expected '('"},
+      {"label_variable", m + "label \"done\" = (t=1);\n",
+       "PRISM parse error at line 7, column 18: unknown variable in label"},
+      {"label_state", m + "label \"done\" = (s=4);\n",
+       "PRISM parse error at line 7, column 20: label state out of range"},
+      {"reward_negative", m + "rewards\n  s=0 : -3.0;\nendrewards\n",
+       "PRISM parse error at line 8, column 13: reward is negative"},
+      {"reward_variable", m + "rewards\n  t=0 : 1;\nendrewards\n",
+       "PRISM parse error at line 8, column 4: unknown variable in reward"},
+      {"reward_state", m + "rewards\n  s=5 : 1;\nendrewards\n",
+       "PRISM parse error at line 8, column 6: reward state out of range"},
+      {"reward_action_identifier", m + "rewards\n  [] s=0 : 1;\nendrewards\n",
+       "PRISM parse error at line 8, column 4: expected identifier"},
+      {"reward_unknown_action", m + "rewards\n  [go] s=0 : 1;\nendrewards\n",
+       "PRISM parse error at line 8, column 16: "
+       "action reward for unknown command"},
+      {"trailing_input", m + "garbage\n",
+       "PRISM parse error at line 7, column 1: unexpected trailing input"},
+      // Integers keep strtol's reading: a '+' sign needs a digit after it,
+      // and an overflowing literal saturates (so it lands out of range)
+      // instead of failing as a malformed integer.
+      {"plus_without_digit", with_command("  [] s=+x -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 8: expected integer"},
+      {"plus_minus", with_command("  [] s=+-1 -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 8: expected integer"},
+      {"overflow_saturates",
+       with_command("  [] s=99999999999999999999 -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 28: guard state out of range"},
+      {"negative_overflow_saturates",
+       with_command("  [] s=-99999999999999999999 -> 1 : (s'=1);"),
+       "PRISM parse error at line 4, column 29: guard state out of range"},
+  };
+}
+
+TEST(PrismParser, ParseErrorMessagesAndPositions) {
+  for (const ParseErrorCase& c : parse_error_cases()) {
+    try {
+      (void)parse_prism(c.source);
+      ADD_FAILURE() << c.name << ": accepted";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), c.message) << c.name;
+    }
+  }
+}
+
+TEST(PrismParser, NonStochasticRowIsModelErrorWithFullMessage) {
+  try {
+    (void)parse_prism(with_command("  [] s=0 -> 0.5 : (s'=1);"));
+    FAIL() << "non-stochastic row accepted";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "Mdp state 0 choice 0: distribution sums to 0.500000");
+  }
+}
+
+TEST(PrismParser, ExplicitPlusSignIsAccepted) {
+  const PrismModel model =
+      parse_prism(with_command("  [] s=+0 -> 1 : (s'=+1);"));
+  ASSERT_EQ(model.mdp.choices(0).size(), 1u);
+  EXPECT_EQ(model.mdp.choices(0)[0].transitions[0].target, 1u);
+}
+
+/// A model exercising every token class, one token per entry.
+const std::vector<std::string>& model_tokens() {
+  static const std::vector<std::string> tokens = {
+      "mdp", "module", "m", "s", ":", "[", "0", "..", "2", "]", "init", "0",
+      ";",
+      "[", "go", "]", "s", "=", "0", "->", "0.25", ":", "(", "s", "'", "=",
+      "1", ")", "+", "0.75", ":", "(", "s", "'", "=", "2", ")", ";",
+      "[", "]", "s", "=", "0", "->", "1", ":", "(", "s", "'", "=", "0", ")",
+      ";",
+      "[", "]", "s", "=", "1", "->", "1", ":", "(", "s", "'", "=", "2", ")",
+      ";",
+      "[", "stay", "]", "s", "=", "2", "->", "1", ":", "(", "s", "'", "=",
+      "2", ")", ";",
+      "endmodule",
+      "label", "\"done\"", "=", "(", "s", "=", "2", ")", "|", "(", "s", "=",
+      "1", ")", ";",
+      "label", "\"never\"", "=", "false", ";",
+      "rewards", "\"cost\"", "[", "go", "]", "s", "=", "0", ":", "2.5", ";",
+      "s", "=", "1", ":", "1", ";", "endrewards"};
+  return tokens;
+}
+
+std::string join_tokens(const std::string& separator) {
+  std::string out;
+  for (const std::string& token : model_tokens()) out += token + separator;
+  return out;
+}
+
+TEST(PrismParser, LineEndingsTabsAndCommentsDoNotChangeTheModel) {
+  const std::string reference = to_prism(parse_prism(join_tokens(" ")).mdp);
+  for (const std::string separator :
+       {"\r\n", "\t", " \t\r\n\v\f", "// note\n", "\t// note\r\n\t",
+        " // a\n// b\n"}) {
+    EXPECT_EQ(to_prism(parse_prism(join_tokens(separator)).mdp), reference)
+        << "separator " << testing::PrintToString(separator);
+  }
 }
 
 // ---------------------------------------------------------------------------
