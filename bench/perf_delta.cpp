@@ -1,36 +1,30 @@
-// Microbenchmarks: streaming re-certification cost — cold (recompile + cold
-// interval solve) vs warm (delta patch + warm-started interval solve) per
-// batch, on a chain-of-clusters DTMC built so a small-delta batch dirties
-// exactly one SCC block.
+// Microbenchmarks: streaming re-certification cost per batch — cold
+// (recompile + sparse LU) vs patched (delta patch + sparse LU), on a
+// chain-of-clusters DTMC. This is the step RepairSession::feed takes for
+// each learned or repaired chain: patch_probabilities() when the support
+// is unchanged, then dtmc_until_bracket's envelope LU with its certified
+// bracket.
 //
 // Fixture. C clusters of K states, each cluster one nontrivial SCC (a 0.5
 // cycle plus self-loops), feeding forward into the next plus a direct leak
 // into the absorbing goal/trap states, so every transient value is strictly
-// inside (0, 1) and every block genuinely iterates. The direct leak also
-// damps the inter-cluster bracket-gap amplification to 2/3 per cluster —
-// with pure forward coupling the factor is exactly 1 and deep chains can
-// never close their gap below a downstream gap already at the tolerance.
-// Perturbing the
-// SOURCE cluster (the last block in dependency order, which nothing depends
-// on) makes it the only affected block: the warm solve patches the CSR in
-// place, reuses the cached prob0/prob1 sets, re-sweeps one block of C+2 and
-// keeps the previous certified bracket verbatim everywhere else.
+// inside (0, 1).
 //
-//   * BM_ColdRecertify      — per batch: perturb, compile(), cold bracket
-//   * BM_WarmRecertify      — per batch: perturb, patch_probabilities(),
-//                             warm bracket (widened seed, 1 dirty cluster)
-//   * BM_WarmRecertifyAllDirty — every cluster perturbed: no block skipping,
-//                             the speedup isolates the near-fixpoint seed
+//   * BM_ColdRecertify      — per batch: perturb one cluster, compile(),
+//                             LU bracket
+//   * BM_PatchRecertify     — per batch: perturb one cluster,
+//                             patch_probabilities(), LU bracket
+//   * BM_PatchRecertifyAllDirty — every cluster perturbed
 //
-// Before timing, each warm fixture self-checks the contract once: cold-seed
-// mode (WarmStart::widen < 0) must reproduce the cold bracket BITWISE, and
-// the widened seed must converge to the same tolerance. Regenerate the
-// recorded numbers with:
+// The LU solves every unknown state whatever changed, so the two patched
+// variants differ only in the patch's rewrite. Before timing, each patched
+// fixture checks once that the bracket of the patched model equals a
+// fresh compile's bitwise. Regenerate the recorded numbers with:
 //
 //   ./bench/perf_delta --benchmark_out=BENCH_delta.json
 //                      --benchmark_out_format=json     (one command line)
 //
-// (see EXPERIMENTS.md for the recorded cold/warm per-batch latencies).
+// (see EXPERIMENTS.md for the recorded per-batch latencies).
 
 #include <benchmark/benchmark.h>
 
@@ -38,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "src/checker/reachability.hpp"
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/model.hpp"
 #include "src/mdp/solver.hpp"
@@ -47,7 +40,6 @@ namespace tml {
 namespace {
 
 constexpr std::size_t kClusterSize = 16;
-constexpr double kTolerance = 1e-8;
 
 /// C clusters of K states feeding forward, last cluster leaking into
 /// absorbing goal/trap. State (i, j) = i*K + j; goal = C*K, trap = C*K + 1.
@@ -95,54 +87,32 @@ StateSet goal_set(const CompiledModel& model) {
   return model.states_with_label("goal");
 }
 
-SolverOptions bracket_options() {
-  SolverOptions opts;
-  opts.tolerance = kTolerance;
-  opts.max_iterations = 10000000;
-  return opts;
+SolveResult certify(const CompiledModel& model) {
+  return dtmc_reachability_bracket(model, goal_set(model));
 }
 
-WarmStart make_seed(const SolveResult& prev, const PatchResult& patch,
-                    double widen_scale) {
-  WarmStart seed;
-  seed.values = prev.values;
-  seed.lo = prev.lo;
-  seed.hi = prev.hi;
-  seed.dirty = patch.dirty;
-  seed.widen = widen_scale < 0.0 ? -1.0 : widen_scale * patch.max_abs_delta;
-  seed.zero = prev.zero;
-  seed.one = prev.one;
-  return seed;
+/// Perturbs cluster 0 (or every cluster) of `chain`.
+void perturb(Dtmc& chain, std::size_t clusters, bool all, bool flip) {
+  for (std::size_t i = 0; i < (all ? clusters : 1); ++i) {
+    perturb_cluster(chain, i, flip);
+  }
 }
 
-/// One-time contract check per fixture size: the cold-seed warm solve must
-/// equal the cold solve bitwise on the perturbed model.
-bool verify_bitwise(std::size_t clusters, std::string& error) {
+/// One-time contract check per fixture: the patched model's bracket must
+/// equal a fresh compile's bitwise.
+bool verify_bitwise(std::size_t clusters, bool all, std::string& error) {
   Dtmc chain = cluster_chain(clusters);
   CompiledModel model = compile(chain);
-  const SolverOptions opts = bracket_options();
-  SolveResult prev =
-      mdp_reachability_bracket(model, goal_set(model), Objective::kMaximize,
-                               opts);
-  perturb_cluster(chain, 0, true);
-  const PatchResult patch = patch_probabilities(model, chain);
-  if (!patch.patched) {
+  perturb(chain, clusters, all, true);
+  if (!patch_probabilities(model, chain).patched) {
     error = "patch fell back to full compile";
     return false;
   }
-  const WarmStart seed = make_seed(prev, patch, -1.0);
-  SolverOptions warm_opts = opts;
-  warm_opts.warm = &seed;
-  const SolveResult warm = mdp_reachability_bracket(
-      model, goal_set(model), Objective::kMaximize, warm_opts);
-  const SolveResult cold = mdp_reachability_bracket(
-      compile(chain), goal_set(model), Objective::kMaximize, opts);
-  if (!warm.converged || !cold.converged) {
-    error = "solver did not converge";
-    return false;
-  }
-  if (warm.lo != cold.lo || warm.hi != cold.hi || warm.values != cold.values) {
-    error = "warm cold-seed result differs bitwise from the cold solve";
+  const SolveResult patched = certify(model);
+  const SolveResult cold = certify(compile(chain));
+  if (patched.lo != cold.lo || patched.hi != cold.hi ||
+      patched.values != cold.values) {
+    error = "patched bracket differs bitwise from a fresh compile's";
     return false;
   }
   return true;
@@ -151,81 +121,50 @@ bool verify_bitwise(std::size_t clusters, std::string& error) {
 void BM_ColdRecertify(benchmark::State& state) {
   const std::size_t clusters = static_cast<std::size_t>(state.range(0));
   Dtmc chain = cluster_chain(clusters);
-  const SolverOptions opts = bracket_options();
   bool flip = true;
   for (auto _ : state) {
-    perturb_cluster(chain, 0, flip);
+    perturb(chain, clusters, false, flip);
     flip = !flip;
-    CompiledModel model = compile(chain);
-    SolveResult result = mdp_reachability_bracket(
-        model, goal_set(model), Objective::kMaximize, opts);
+    const SolveResult result = certify(compile(chain));
     benchmark::DoNotOptimize(result.lo.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_WarmRecertify(benchmark::State& state) {
+void patch_recertify(benchmark::State& state, bool all) {
   const std::size_t clusters = static_cast<std::size_t>(state.range(0));
   std::string error;
-  if (!verify_bitwise(clusters, error)) {
+  if (!verify_bitwise(clusters, all, error)) {
     state.SkipWithError(error.c_str());
     return;
   }
   Dtmc chain = cluster_chain(clusters);
   CompiledModel model = compile(chain);
-  const SolverOptions opts = bracket_options();
-  SolveResult prev = mdp_reachability_bracket(
-      model, goal_set(model), Objective::kMaximize, opts);
   bool flip = true;
   for (auto _ : state) {
-    perturb_cluster(chain, 0, flip);
+    perturb(chain, clusters, all, flip);
     flip = !flip;
-    const PatchResult patch = patch_probabilities(model, chain);
-    if (!patch.patched) {
+    if (!patch_probabilities(model, chain).patched) {
       state.SkipWithError("patch fell back to full compile");
       return;
     }
-    const WarmStart seed = make_seed(prev, patch, 4.0);
-    SolverOptions warm_opts = opts;
-    warm_opts.warm = &seed;
-    prev = mdp_reachability_bracket(model, goal_set(model),
-                                    Objective::kMaximize, warm_opts);
-    benchmark::DoNotOptimize(prev.lo.data());
+    const SolveResult result = certify(model);
+    benchmark::DoNotOptimize(result.lo.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_WarmRecertifyAllDirty(benchmark::State& state) {
-  const std::size_t clusters = static_cast<std::size_t>(state.range(0));
-  Dtmc chain = cluster_chain(clusters);
-  CompiledModel model = compile(chain);
-  const SolverOptions opts = bracket_options();
-  SolveResult prev = mdp_reachability_bracket(
-      model, goal_set(model), Objective::kMaximize, opts);
-  bool flip = true;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < clusters; ++i) {
-      perturb_cluster(chain, i, flip);
-    }
-    flip = !flip;
-    const PatchResult patch = patch_probabilities(model, chain);
-    if (!patch.patched) {
-      state.SkipWithError("patch fell back to full compile");
-      return;
-    }
-    const WarmStart seed = make_seed(prev, patch, 4.0);
-    SolverOptions warm_opts = opts;
-    warm_opts.warm = &seed;
-    prev = mdp_reachability_bracket(model, goal_set(model),
-                                    Objective::kMaximize, warm_opts);
-    benchmark::DoNotOptimize(prev.lo.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+void BM_PatchRecertify(benchmark::State& state) {
+  patch_recertify(state, false);
+}
+
+void BM_PatchRecertifyAllDirty(benchmark::State& state) {
+  patch_recertify(state, true);
 }
 
 BENCHMARK(BM_ColdRecertify)->ArgName("clusters")->Arg(8)->Arg(32);
-BENCHMARK(BM_WarmRecertify)->ArgName("clusters")->Arg(8)->Arg(32);
-BENCHMARK(BM_WarmRecertifyAllDirty)->ArgName("clusters")->Arg(8)->Arg(32);
+BENCHMARK(BM_PatchRecertify)->ArgName("clusters")->Arg(8)->Arg(32);
+BENCHMARK(BM_PatchRecertifyAllDirty)->ArgName("clusters")->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace tml

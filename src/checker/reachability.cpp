@@ -93,53 +93,10 @@ std::optional<CompiledModel> absorb_escape_states(const CompiledModel& model,
   return model.make_absorbing(escape);
 }
 
-// ---- warm starts ----------------------------------------------------------
-
-bool warm_bracket_valid(const WarmStart* warm, std::size_t n) {
-  return warm != nullptr && warm->lo.size() == n && warm->hi.size() == n;
-}
-
-/// Affected-block propagation over the dependency-ordered condensation:
-/// ascending block order, a block is affected iff it contains a dirty state
-/// or any positive edge leaving it lands in an affected (necessarily
-/// lower-indexed) block. Unaffected blocks see the identical Bellman
-/// operator AND identical downstream values, so their fixpoint — and every
-/// iterate of it — is unchanged; skipping them is exact, not approximate.
-std::vector<char> affected_blocks(const CompiledModel& model,
-                                  const SccDecomposition& scc,
-                                  const StateSet& dirty) {
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  std::vector<char> affected(scc.num_blocks(), 0);
-  for (std::uint32_t b = 0; b < scc.num_blocks(); ++b) {
-    bool hit = false;
-    for (StateId s : scc.block(b)) {
-      if (dirty[s]) {
-        hit = true;
-        break;
-      }
-      for (std::uint32_t c = row_start[s]; c < row_start[s + 1] && !hit; ++c) {
-        for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-          if (prob[k] <= 0.0) continue;
-          const std::uint32_t bt = scc.component[target[k]];
-          if (bt != b && affected[bt]) {
-            hit = true;
-            break;
-          }
-        }
-      }
-      if (hit) break;
-    }
-    affected[b] = hit ? 1 : 0;
-  }
-  return affected;
-}
-
-/// Qualitative sets for an entry point: reuse the seeding run's cached
-/// prob0/prob1 (valid after a support-preserving patch — the sets are pure
-/// graph properties of the positive support) or recompute from scratch.
+/// Qualitative sets for an entry point: reuse the caller's cached
+/// prob0/prob1 (WarmStart::zero/one — valid after a support-preserving
+/// patch, since the sets are pure graph properties of the positive
+/// support) or recompute from scratch.
 Prob01 prob01_for(const CompiledModel& model, const StateSet& targets,
                   Objective objective, const SolverOptions& options) {
   const std::size_t n = model.num_states();
@@ -148,16 +105,6 @@ Prob01 prob01_for(const CompiledModel& model, const StateSet& targets,
     return Prob01{options.warm->zero, options.warm->one};
   }
   return reach_prob01(model, targets, objective);
-}
-
-void record_warm_stats(std::size_t skipped, std::size_t resolved) {
-  static stats::Counter& c_warm = stats::counter("checker.warm_solves");
-  static stats::Counter& c_skip = stats::counter("checker.warm_blocks_skipped");
-  static stats::Counter& c_solve =
-      stats::counter("checker.warm_blocks_resolved");
-  c_warm.bump();
-  c_skip.add(skipped);
-  c_solve.add(resolved);
 }
 
 void record_scc_count(std::size_t blocks) {
@@ -220,39 +167,6 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
   for (StateId s = 0; s < n; ++s) {
     if (one[s]) lo[s] = 1.0;
     if (zero[s]) hi[s] = 0.0;
-  }
-
-  // Warm start (see WarmStart in solver.hpp). Unaffected blocks — no dirty
-  // state, nothing affected downstream, previous gap already below
-  // tolerance — keep the previous bracket verbatim and are skipped: their
-  // Bellman operator and everything it reads are unchanged, so the previous
-  // bracket is exactly what a cold solve would recompute. Affected blocks
-  // are re-seeded lazily at block start (never earlier, so a budget stop
-  // leaves untouched blocks at the sound cold 0/1 bracket).
-  const bool warm = warm_bracket_valid(options.warm, n);
-  std::vector<char> affected;
-  std::size_t warm_skipped = 0;
-  std::size_t warm_resolved = 0;
-  if (warm) {
-    StateSet dirty = options.warm->dirty.size() == n ? options.warm->dirty
-                                                     : StateSet(n, true);
-    // A state whose seed gap never converged must re-iterate (and upstream
-    // must treat its value as movable), so a warm solve converges
-    // everywhere a cold solve would.
-    for (StateId s = 0; s < n; ++s) {
-      if (!zero[s] && !one[s] &&
-          options.warm->hi[s] - options.warm->lo[s] >= options.tolerance) {
-        dirty.set(s);
-      }
-    }
-    affected = affected_blocks(model, scc, dirty);
-    for (StateId s = 0; s < n; ++s) {
-      if (zero[s] || one[s]) continue;
-      if (!affected[scc.component[s]]) {
-        lo[s] = options.warm->lo[s];
-        hi[s] = options.warm->hi[s];
-      }
-    }
   }
 
   // MEC deflation/inflation (Pmax only). Inside a maximal end component all
@@ -352,12 +266,6 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
       }
     }
     if (!any_unknown) continue;
-    if (warm && !affected[b]) {
-      // Frozen: previous bracket already seeded and exact; nothing to do.
-      ++warm_skipped;
-      continue;
-    }
-    if (warm) ++warm_resolved;
 
     if (block.size() == 1) {
       // Downstream values are final, so the closed form is final too; its
@@ -373,57 +281,6 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
 
     const std::size_t begin = scc.block_start[b];
     const std::size_t end = scc.block_start[b + 1];
-
-    if (warm && options.warm->widen >= 0.0) {
-      // Re-widened seed for this affected block, then per-block
-      // certification by one raw Bellman application against the (final)
-      // downstream values:
-      //  * upper: F(hi) ≤ hi pointwise ⇒ the decreasing clamped iterates
-      //    stay above a fixpoint, and every fixpoint dominates the LEAST
-      //    fixpoint v* — valid unconditionally;
-      //  * lower: F(lo) ≥ lo pointwise ⇒ the increasing iterates stay below
-      //    a fixpoint, which equals v* only when the block's unknown region
-      //    has a unique fixpoint — i.e. no end components (always true for
-      //    Pmin and for DTMCs after the qualitative pinning; checked via
-      //    block_mecs for Pmax).
-      // A failed certificate falls back to the cold 0/1 bound for that
-      // side: warm seeds can only lose speed, never soundness. Note the
-      // caller's widen is purely a seed-quality heuristic — nothing here
-      // assumes it bounds the true value drift.
-      const double widen = options.warm->widen;
-      for (std::size_t i = begin; i < end; ++i) {
-        const StateId s = scc.block_states[i];
-        if (zero[s] || one[s]) continue;
-        lo[s] = std::clamp(options.warm->lo[s] - widen, 0.0, 1.0);
-        hi[s] = std::clamp(options.warm->hi[s] + widen, 0.0, 1.0);
-      }
-      bool lo_ok = block_mecs[b].empty();
-      bool hi_ok = true;
-      for (std::size_t i = begin; i < end && (lo_ok || hi_ok); ++i) {
-        const StateId s = scc.block_states[i];
-        if (zero[s] || one[s]) continue;
-        const double best_lo = reach_step(model, s, objective, lo);
-        const double best_hi = reach_step(model, s, objective, hi);
-        if (best_lo < lo[s]) lo_ok = false;
-        if (best_hi > hi[s]) hi_ok = false;
-      }
-      if (!lo_ok || !hi_ok) {
-        static stats::Counter& c_reject =
-            stats::counter("checker.warm_seed_rejections");
-        c_reject.bump();
-        for (std::size_t i = begin; i < end; ++i) {
-          const StateId s = scc.block_states[i];
-          if (zero[s] || one[s]) continue;
-          if (!lo_ok) lo[s] = 0.0;
-          if (!hi_ok) hi[s] = 1.0;
-        }
-      }
-      for (std::size_t i = begin; i < end; ++i) {
-        const StateId s = scc.block_states[i];
-        next_lo[s] = lo[s];
-        next_hi[s] = hi[s];
-      }
-    }
 
     bool converged = false;
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
@@ -486,8 +343,6 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
       all_converged = false;
     }
   }
-
-  if (warm) record_warm_stats(warm_skipped, warm_resolved);
 
   double final_gap = 0.0;
   for (StateId s = 0; s < n; ++s) {

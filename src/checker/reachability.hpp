@@ -15,8 +15,8 @@
 // via CompiledModel::make_absorbing (states outside stay ∪ goal can never
 // contribute). The step-bounded and cumulative operators are two thin
 // entry points over one fixed-horizon Jacobi sweep, shared by DTMCs
-// (one-choice rows) and MDPs. Every sweep here — interval, warm-seed
-// certificate, fixed-horizon — applies the one Bellman step of
+// (one-choice rows) and MDPs. Every sweep here — interval and
+// fixed-horizon — applies the one Bellman step of
 // src/mdp/bellman.hpp (best_choice over each choice's expectation); the
 // interval engine keeps its own per-block loop because it stops on the
 // bracket gap `hi − lo`, not on a sweep delta.

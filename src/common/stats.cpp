@@ -101,10 +101,6 @@ constexpr SchemaEntry kSchema[] = {
     {"budget.clock_reads", SchemaEntry::kCounter},
     {"budget.exhausted", SchemaEntry::kCounter},
     {"fault.injections", SchemaEntry::kCounter},
-    {"checker.warm_solves", SchemaEntry::kCounter},
-    {"checker.warm_blocks_skipped", SchemaEntry::kCounter},
-    {"checker.warm_blocks_resolved", SchemaEntry::kCounter},
-    {"checker.warm_seed_rejections", SchemaEntry::kCounter},
     {"core.session.batches", SchemaEntry::kCounter},
     {"core.session.repairs", SchemaEntry::kCounter},
     {"core.session.batch.time", SchemaEntry::kTimer},

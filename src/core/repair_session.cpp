@@ -1,7 +1,5 @@
 #include "src/core/repair_session.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -12,21 +10,6 @@
 namespace tml {
 
 namespace {
-
-/// φ1 U φ2 restricted to plain reachability at the chain level: escape
-/// states (¬φ1 ∧ ¬φ2) become absorbing self-loops. Applied identically
-/// every batch, so the absorbed chains of successive estimates still differ
-/// only in probabilities — the delta patch keeps working.
-Dtmc absorb_for_until(const Dtmc& chain, const StateSet& stay,
-                      const StateSet& goal) {
-  Dtmc out = chain;
-  for (StateId s = 0; s < chain.num_states(); ++s) {
-    if (!stay[s] && !goal[s]) {
-      out.set_transitions(s, {Transition{s, 1.0}});
-    }
-  }
-  return out;
-}
 
 // -- journal payload codecs --------------------------------------------------
 //
@@ -84,32 +67,6 @@ std::vector<double> read_f64_vector(journal_io::Reader& r) {
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.f64());
   return v;
-}
-
-void put_state_set(std::string& out, const StateSet& set) {
-  journal_io::put_u64(out, set.size());
-  std::string bits((set.size() + 7) / 8, '\0');
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (set.test(i)) bits[i / 8] |= static_cast<char>(1u << (i % 8));
-  }
-  journal_io::put_bytes(out, bits);
-}
-
-StateSet read_state_set(journal_io::Reader& r) {
-  const std::uint64_t n = r.u64();
-  const std::string bits = r.bytes();
-  if (bits.size() != (n + 7) / 8) {
-    throw JournalError("journal: state-set payload is " +
-                       std::to_string(bits.size()) + " bytes for " +
-                       std::to_string(n) + " bits");
-  }
-  StateSet set(n, false);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if ((static_cast<unsigned char>(bits[i / 8]) >> (i % 8)) & 1u) {
-      set.set(i, true);
-    }
-  }
-  return set;
 }
 
 }  // namespace
@@ -202,8 +159,7 @@ RepairSession::RepairSession(Dtmc structure, StateFormulaPtr property,
                   << path.to_string());
   TML_REQUIRE(!path.step_bound(),
               "RepairSession: step-bounded properties are not supported — "
-              "the certified-bracket warm start applies to the unbounded "
-              "fixpoint engines");
+              "certification solves the unbounded P[U] directly");
   // Operand sets are fixed for the whole session: they are label-defined on
   // the structure, and neither learning nor repair touches labels.
   const CompiledModel compiled = compile(structure_);
@@ -274,71 +230,32 @@ Budget RepairSession::batch_budget() const {
   return config_.budget.split(remaining);
 }
 
-SolveResult RepairSession::certify(const Dtmc& chain,
-                                   double perturbation_bound,
-                                   const Budget& budget, BatchOutcome& outcome,
-                                   bool record_patch) {
-  const Dtmc absorbed = absorb_for_until(chain, stay_, goal_);
-
-  double patch_delta = 0.0;
-  StateSet dirty;
-  bool patched = false;
-  if (!compiled_.has_value()) {
-    compiled_ = compile(absorbed);
-    has_warm_ = false;
-  } else {
-    const PatchResult patch = patch_probabilities(*compiled_, absorbed);
-    if (patch.patched) {
-      patched = true;
-      patch_delta = patch.max_abs_delta;
-      dirty = patch.dirty;
-    } else {
-      // Structural change (should not happen with positive smoothing, but
-      // degrade gracefully): recompile cold and drop the stale seed.
-      compiled_ = compile(absorbed);
-      has_warm_ = false;
-    }
-  }
+Bracket RepairSession::certify(const Dtmc& chain, const Budget& budget,
+                               BatchOutcome& outcome, bool record_patch) {
+  PatchResult patch;
+  if (compiled_.has_value()) patch = patch_probabilities(*compiled_, chain);
+  // First batch, or a structural change (should not happen with positive
+  // smoothing, but degrade gracefully): recompile.
+  if (!patch.patched) compiled_ = compile(chain);
   if (record_patch) {
-    outcome.patched = patched;
-    outcome.dirty_states = patched ? count(dirty) : compiled_->num_states();
-    outcome.max_abs_delta = patch_delta;
+    outcome.patched = patch.patched;
+    outcome.dirty_states =
+        patch.patched ? patch.dirty_states : compiled_->num_states();
+    outcome.max_abs_delta = patch.max_abs_delta;
   }
 
   SolverOptions options;
-  options.tolerance = config_.tolerance;
-  options.threads = config_.threads;
   options.budget = budget;
-  WarmStart seed;
-  if (has_warm_ && patched) {
-    seed = warm_;
-    seed.dirty = dirty;
-    const double bound = std::max(perturbation_bound, patch_delta);
-    seed.widen = config_.widen_scale < 0.0
-                     ? -1.0
-                     : std::min(1.0, config_.widen_scale * bound);
-    options.warm = &seed;
-  }
-
-  SolveResult result = mdp_reachability_bracket(*compiled_, goal_,
-                                                Objective::kMaximize, options);
-
-  warm_.values = result.values;
-  warm_.lo = result.lo;
-  warm_.hi = result.hi;
-  warm_.zero = result.zero;
-  warm_.one = result.one;
-  warm_.dirty = StateSet{};
-  has_warm_ = true;
-
-  outcome.sweeps += result.iterations;
-  if (result.budget_status == BudgetStatus::kBudgetExhausted) {
+  try {
+    const SolveResult result =
+        dtmc_until_bracket(*compiled_, stay_, goal_, options);
+    const StateId init = chain.initial_state();
+    return Bracket{result.lo[init], result.hi[init], 0};
+  } catch (const BudgetExhausted& e) {
     outcome.budget_status = BudgetStatus::kBudgetExhausted;
-    if (outcome.budget_stop == BudgetStop::kNone) {
-      outcome.budget_stop = result.budget_stop;
-    }
+    if (outcome.budget_stop == BudgetStop::kNone) outcome.budget_stop = e.stop();
+    return Bracket{};  // [0, 1]: sound, and straddles every bound
   }
-  return result;
 }
 
 const BatchOutcome& RepairSession::feed(const TrajectoryDataset& batch) {
@@ -365,19 +282,17 @@ const BatchOutcome& RepairSession::feed(const TrajectoryDataset& batch) {
   const Dtmc learned = mle_.dtmc(config_.pseudocount);
   current_ = learned;
 
-  // 2. Certify the learned chain (warm bracket; only changed SCC blocks
-  //    re-sweep).
-  const StateId init = current_.initial_state();
+  // 2. Certify the learned chain.
   const Comparison cmp = property_->comparison();
   const double bound = property_->bound();
-  SolveResult certified = certify(learned, 0.0, share, outcome, true);
-  outcome.lo = certified.lo[init];
-  outcome.hi = certified.hi[init];
+  const Bracket certified = certify(learned, share, outcome, true);
+  outcome.lo = certified.lo;
+  outcome.hi = certified.hi;
   // Certified satisfaction needs BOTH bracket ends on the right side of the
-  // bound; a straddling bracket (or an exhausted budget's wide bracket)
+  // bound; a straddling bracket (or an exhausted budget's [0, 1])
   // conservatively counts as violated.
-  bool satisfied = compare(certified.lo[init], cmp, bound) &&
-                   compare(certified.hi[init], cmp, bound);
+  bool satisfied =
+      compare(certified.lo, cmp, bound) && compare(certified.hi, cmp, bound);
   outcome.violated = !satisfied;
 
   // 3. Repair only if the certified verdict failed.
@@ -407,15 +322,12 @@ const BatchOutcome& RepairSession::feed(const TrajectoryDataset& batch) {
       outcome.epsilon_bisimilarity = repair.epsilon_bisimilarity;
       last_repair_point_ = repair.variable_values;
       current_ = *repair.repaired;
-      // Re-certify the repaired chain, warm from the pre-repair bracket,
-      // widened by the scheme's Proposition 1 perturbation bound.
-      SolveResult recheck =
-          certify(current_, scheme.max_perturbation(repair.variable_values),
-                  share, outcome, /*record_patch=*/false);
-      outcome.lo = recheck.lo[init];
-      outcome.hi = recheck.hi[init];
-      satisfied = compare(recheck.lo[init], cmp, bound) &&
-                  compare(recheck.hi[init], cmp, bound);
+      const Bracket recheck =
+          certify(current_, share, outcome, /*record_patch=*/false);
+      outcome.lo = recheck.lo;
+      outcome.hi = recheck.hi;
+      satisfied =
+          compare(recheck.lo, cmp, bound) && compare(recheck.hi, cmp, bound);
     }
   }
 
@@ -458,16 +370,10 @@ std::string RepairSession::encode_checkpoint() const {
       journal_io::put_f64(out, t.probability);
     }
   }
-  // Report so far, warm bracket, last repair point.
+  // Report so far, an always-absent solver seed (the slot keeps the
+  // layout of format version 1), last repair point.
   journal_io::put_bytes(out, encode_session_report(report_));
-  journal_io::put_u8(out, has_warm_ ? 1 : 0);
-  if (has_warm_) {
-    put_f64_vector(out, warm_.values);
-    put_f64_vector(out, warm_.lo);
-    put_f64_vector(out, warm_.hi);
-    put_state_set(out, warm_.zero);
-    put_state_set(out, warm_.one);
-  }
+  journal_io::put_u8(out, 0);
   journal_io::put_u8(out, last_repair_point_.has_value() ? 1 : 0);
   if (last_repair_point_.has_value()) put_f64_vector(out, *last_repair_point_);
   return out;
@@ -513,15 +419,16 @@ void RepairSession::restore_checkpoint(const std::string& payload) {
   // Rebuild the compiled cache from the restored chain: the delta patch is
   // bitwise identical to a fresh compile (the test_delta invariant), so
   // this reproduces the crashed process's patched-in-place cache exactly.
-  compiled_ = compile(absorb_for_until(current_, stay_, goal_));
-  has_warm_ = r.u8() != 0;
-  if (has_warm_) {
-    warm_.values = read_f64_vector(r);
-    warm_.lo = read_f64_vector(r);
-    warm_.hi = read_f64_vector(r);
-    warm_.zero = read_state_set(r);
-    warm_.one = read_state_set(r);
-    warm_.dirty = StateSet{};
+  compiled_ = compile(current_);
+  // Journals written before certification moved onto the direct solve may
+  // carry an interval-engine seed here: point values, lo, hi, then the
+  // prob0 and prob1 sets (bit count + packed bits). Nothing reads it.
+  if (r.u8() != 0) {
+    for (int i = 0; i < 3; ++i) (void)read_f64_vector(r);
+    for (int i = 0; i < 2; ++i) {
+      (void)r.u64();
+      (void)r.bytes();
+    }
   }
   if (r.u8() != 0) {
     last_repair_point_ = read_f64_vector(r);

@@ -9,18 +9,18 @@
 //   2. delta-patches the cached compiled model in place
 //      (patch_probabilities): Laplace smoothing keeps the support stable,
 //      so almost every batch is a probability rewrite, not a recompile;
-//   3. re-certifies φ with the sound interval engine, warm-started from the
-//      previous batch's certified bracket (only SCC blocks containing
-//      changed states re-sweep; the bracket stays certified — see
-//      WarmStart in src/mdp/solver.hpp);
+//   3. re-certifies φ with the engine check() uses for DTMC P[U]:
+//      dtmc_until_bracket, one sparse LU with its certified x ± δ·h
+//      bracket (src/mdp/solver.hpp);
 //   4. only if the certified verdict is "violated", runs Model Repair,
 //      warm-starting the NLP from the previous batch's repaired point, and
-//      re-certifies the repaired chain (warm again, with the seed widened
-//      by the scheme's Proposition 1 perturbation bound).
+//      re-certifies the repaired chain the same way.
 //
 // Every step shares one session Budget: each batch runs under an even
 // split of what remains (Budget::split), so a slow batch degrades
-// gracefully instead of starving the rest of the stream.
+// gracefully instead of starving the rest of the stream. A certification
+// the budget stops records kBudgetExhausted with the sound bracket [0, 1],
+// which counts as violated.
 //
 // Scope: DTMC structures and unbounded probabilistic properties
 // P⋈b[F φ_t] / P⋈b[φ_1 U φ_2] with label-defined operand sets — the same
@@ -41,7 +41,6 @@
 #include "src/learn/mle.hpp"
 #include "src/logic/pctl.hpp"
 #include "src/mdp/compiled.hpp"
-#include "src/mdp/solver.hpp"
 #include "src/mdp/trajectory.hpp"
 
 namespace tml {
@@ -49,8 +48,8 @@ namespace tml {
 struct RepairSessionConfig {
   /// Laplace pseudocount for the streaming MLE. Must be positive: zero
   /// smoothing lets unobserved structural transitions estimate to 0, which
-  /// changes the support and forfeits both the delta patch and the warm
-  /// start (see IncrementalMle).
+  /// changes the support and forfeits the delta patch (see
+  /// IncrementalMle).
   double pseudocount = 1.0;
   /// Builds the feasible repair class Feas_MP on the current learned chain
   /// (same role as in mdp_model_repair). Required if repairs may run; a
@@ -59,15 +58,8 @@ struct RepairSessionConfig {
   /// NLP / parametric configuration for the repair step. The per-batch
   /// budget overrides `repair.solver.budget` and the elimination budget.
   ModelRepairConfig repair;
-  /// Certification bracket tolerance (interval engine).
-  double tolerance = 1e-6;
-  /// Warm-seed widening = widen_scale × (per-state probability perturbation
-  /// bound of the update: PatchResult::max_abs_delta for a learning step,
-  /// PerturbationScheme::max_perturbation for a repair step). Purely a
-  /// seed-quality heuristic — the solver certifies every seed before use,
-  /// so soundness never depends on this value. Negative = cold-seed mode
-  /// (bitwise identical to a cold solve, still skips unaffected blocks).
-  double widen_scale = 4.0;
+  double tolerance = 1e-6;   ///< inert; removed with perfbench's use
+  double widen_scale = 4.0;  ///< inert; removed with perfbench's use
   /// Session-wide resource budget. Each feed() runs under
   /// `budget.split(remaining batches)` (see expected_batches); the deadline
   /// is absolute and the cancel token is shared, so cancelling the session
@@ -76,8 +68,7 @@ struct RepairSessionConfig {
   /// Expected number of batches, used to split the session budget evenly.
   /// 0 = unknown: each batch may use everything that remains.
   std::size_t expected_batches = 0;
-  /// Worker threads for the certification sweeps (0 = TML_THREADS).
-  std::size_t threads = 0;
+  std::size_t threads = 0;  ///< inert; removed with perfbench's use
   /// Durable write-ahead journal path (src/core/session_journal.hpp).
   /// Empty = volatile session. When set, every feed() appends the batch to
   /// the journal (fsync'd) BEFORE processing it, and every
@@ -99,7 +90,7 @@ struct BatchOutcome {
   std::size_t index = 0;         ///< 0-based batch number
   std::size_t trajectories = 0;  ///< trajectories in this batch
   /// Delta-compile result for the learning step: true = in-place patch,
-  /// false = structural change forced a full recompile (cold certify).
+  /// false = first batch or a structural change forced a full recompile.
   bool patched = false;
   std::size_t dirty_states = 0;  ///< states whose distribution changed
   double max_abs_delta = 0.0;    ///< largest per-transition |Δp|
@@ -108,13 +99,14 @@ struct BatchOutcome {
   double lo = 0.0;
   double hi = 0.0;
   /// Certified verdict of the LEARNED chain (pre-repair). `violated` is
-  /// conservative: true also when the bracket straddles the bound.
+  /// conservative: true also when the bracket straddles the bound (as the
+  /// [0, 1] of a budget-stopped certification always does).
   bool violated = false;
   bool repaired = false;          ///< a repair step ran
   bool repair_feasible = false;   ///< ...and produced a satisfying chain
   double repair_cost = 0.0;       ///< g(Z) at the repaired point
   double epsilon_bisimilarity = 0.0;  ///< Prop. 1 bound of the repair
-  std::size_t sweeps = 0;         ///< interval sweeps spent certifying
+  std::size_t sweeps = 0;  ///< inert; removed with perfbench's use
   BudgetStatus budget_status = BudgetStatus::kOk;
   BudgetStop budget_stop = BudgetStop::kNone;
 };
@@ -176,16 +168,16 @@ class RepairSession {
   /// Per-batch budget share (even split of what remains of the session
   /// budget over the batches still expected).
   Budget batch_budget() const;
-  /// Certifies φ on `chain` via patch + warm interval solve; updates the
-  /// cached compiled model and the warm seed. `perturbation_bound` feeds
-  /// the seed widening.
-  SolveResult certify(const Dtmc& chain, double perturbation_bound,
-                      const Budget& budget, BatchOutcome& outcome,
-                      bool record_patch);
+  /// Patches the cached compiled model to `chain` (recompiling when the
+  /// patch cannot apply) and returns the certified bracket of φ's
+  /// probability at the initial state; a budget stop records itself in
+  /// `outcome` and returns [0, 1].
+  Bracket certify(const Dtmc& chain, const Budget& budget,
+                  BatchOutcome& outcome, bool record_patch);
   /// Appends a kCheckpoint record when the cadence is due.
   void maybe_checkpoint();
-  /// Full-state snapshot: MLE counts, current chain rows, report, warm
-  /// bracket, last repair point. Bitwise round trip.
+  /// Full-state snapshot: MLE counts, current chain rows, report, last
+  /// repair point. Bitwise round trip.
   std::string encode_checkpoint() const;
   void restore_checkpoint(const std::string& payload);
 
@@ -199,11 +191,8 @@ class RepairSession {
   StateSet goal_;
   StateSet stay_;  ///< all-true for F properties
 
-  // Cached compiled form of the absorbed current chain, patched in place,
-  // plus the previous certified bracket that seeds the next solve.
+  // Cached compiled form of the current chain, patched in place.
   std::optional<CompiledModel> compiled_;
-  WarmStart warm_;
-  bool has_warm_ = false;
 
   std::optional<std::vector<double>> last_repair_point_;
   SessionReport report_;

@@ -9,9 +9,11 @@
 //                  fsync'd) BEFORE any processing: a crash mid-feed replays
 //                  the batch on resume;
 //  * kCheckpoint — a periodic snapshot of the full session state (MLE
-//                  counts, current chain, warm bracket, report so far), so
-//                  resume restores the latest checkpoint and re-feeds only
-//                  the batches journaled after it.
+//                  counts, current chain, report so far, last repair
+//                  point; a solver-seed slot that is written empty and
+//                  skipped when an older journal filled it), so resume
+//                  restores the latest checkpoint and re-feeds only the
+//                  batches journaled after it.
 //
 // File format. A fixed header (magic "TMLJ", format version), then
 // length-prefixed checksummed records:

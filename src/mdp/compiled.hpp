@@ -270,8 +270,8 @@ struct PatchResult {
   std::size_t dirty_states = 0;
   /// max |p_new - p_old| over all transition entries — the per-entry
   /// probability perturbation bound (the ε of the paper's Prop. 1 view of
-  /// the patch as a perturbation matrix Z), used by the warm-started
-  /// interval solver to re-widen its bracket seed.
+  /// the patch as a perturbation matrix Z); RepairSession reports it per
+  /// batch.
   double max_abs_delta = 0.0;
 };
 

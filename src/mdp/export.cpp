@@ -1,5 +1,6 @@
 #include "src/mdp/export.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -79,12 +80,14 @@ std::string render(const Write& write) {
   return text;
 }
 
-void emit_labels(Out& os, const Mdp& mdp) {
-  for (const std::string& label : mdp.all_labels()) {
-    const StateSet set = mdp.states_with_label(label);
+template <class Model>
+void emit_labels(Out& os, const Model& model,
+                 const std::vector<std::string>& labels) {
+  for (const std::string& label : labels) {
+    const StateSet set = model.states_with_label(label);
     os << "label \"" << label << "\" = ";
     bool first = true;
-    for (std::size_t s = 0; s < mdp.num_states(); ++s) {
+    for (std::size_t s = 0; s < model.num_states(); ++s) {
       if (!set[s]) continue;
       if (!first) os << " | ";
       os << "(s=" << s << ")";
@@ -136,7 +139,7 @@ std::string to_prism(const Mdp& mdp, const std::string& module_name) {
       }
     }
     os << "endmodule\n\n";
-    emit_labels(os, mdp);
+    emit_labels(os, mdp, mdp.all_labels());
 
     os << "\nrewards \"total\"\n";
     for (std::size_t s = 0; s < mdp.num_states(); ++s) {
@@ -158,9 +161,16 @@ std::string to_prism(const Mdp& mdp, const std::string& module_name) {
 
 std::string to_prism(const Dtmc& chain, const std::string& module_name) {
   chain.validate();
-  // Labels are listed in the order the MDP view declares them (first use,
-  // scanning states in order).
-  const Mdp labels = chain.as_mdp();
+  // Labels are listed in first-use order, scanning states in order (the
+  // order as_mdp() would declare them in).
+  std::vector<std::string> labels;
+  for (StateId s = 0; s < chain.num_states(); ++s) {
+    for (std::string& label : chain.labels_of(s)) {
+      if (std::find(labels.begin(), labels.end(), label) == labels.end()) {
+        labels.push_back(std::move(label));
+      }
+    }
+  }
   return render([&](Out& os) {
     emit_header(os, "dtmc", chain, module_name);
     for (std::size_t s = 0; s < chain.num_states(); ++s) {
@@ -168,7 +178,7 @@ std::string to_prism(const Dtmc& chain, const std::string& module_name) {
       emit_row(os, chain.transitions(static_cast<StateId>(s)));
     }
     os << "endmodule\n\n";
-    emit_labels(os, labels);
+    emit_labels(os, chain, labels);
 
     os << "\nrewards \"total\"\n";
     for (std::size_t s = 0; s < chain.num_states(); ++s) {

@@ -23,8 +23,8 @@ constexpr std::uint32_t kNoComponent = std::numeric_limits<std::uint32_t>::max()
 /// source's component id from the PREVIOUS fixpoint round — without this, a
 /// choice leaking into a different component still contributes its internal
 /// edges and can glue together a set that no policy can actually keep
-/// closed. States outside get component == kNoComponent and appear in no
-/// block.
+/// closed. `choices`, when given, drops every unmarked choice. States
+/// outside get component == kNoComponent and appear in no block.
 ///
 /// Iterative (explicit DFS frames) so million-state chains cannot overflow
 /// the call stack. Blocks are emitted in Tarjan order: an SCC is emitted
@@ -33,7 +33,8 @@ constexpr std::uint32_t kNoComponent = std::numeric_limits<std::uint32_t>::max()
 /// topological solvers.
 SccDecomposition tarjan_scc(const CompiledModel& model, const StateSet* allowed,
                             const std::vector<std::uint32_t>* same_component =
-                                nullptr) {
+                                nullptr,
+                            const Bitset* choices = nullptr) {
   const std::size_t n = model.num_states();
   const auto& row_start = model.row_start();
   const auto& choice_start = model.choice_start();
@@ -45,6 +46,7 @@ SccDecomposition tarjan_scc(const CompiledModel& model, const StateSet* allowed,
   for (StateId s = 0; s < n; ++s) {
     if (allowed != nullptr && !(*allowed)[s]) continue;
     for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
+      if (choices != nullptr && !(*choices)[c]) continue;
       bool choice_inside = true;
       if (allowed != nullptr) {
         for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
@@ -315,8 +317,10 @@ SccDecomposition scc_decomposition(const CompiledModel& model) {
 }
 
 std::vector<std::vector<StateId>> maximal_end_components(
-    const CompiledModel& model, const StateSet& within) {
+    const CompiledModel& model, const StateSet& within, const Bitset* choices) {
   require_size(model, within, "maximal_end_components");
+  TML_REQUIRE(choices == nullptr || choices->size() == model.num_choices(),
+              "maximal_end_components: choice mask size mismatch");
   const std::size_t n = model.num_states();
   const auto& row_start = model.row_start();
   const auto& choice_start = model.choice_start();
@@ -333,7 +337,7 @@ std::vector<std::vector<StateId>> maximal_end_components(
   // keep closed (the glue edges belong to choices that may leave it).
   // Candidates shrink and partitions only refine, so the loop terminates.
   StateSet candidate = within;
-  SccDecomposition d = tarjan_scc(model, &candidate);
+  SccDecomposition d = tarjan_scc(model, &candidate, nullptr, choices);
   std::vector<std::uint32_t> comp;
   for (;;) {
     StateSet keep(n, false);
@@ -343,6 +347,7 @@ std::vector<std::vector<StateId>> maximal_end_components(
       bool has_internal_choice = false;
       for (std::uint32_t c = row_start[s];
            c < row_start[s + 1] && !has_internal_choice; ++c) {
+        if (choices != nullptr && !(*choices)[c]) continue;
         bool inside = true;
         for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
           if (prob[k] <= 0.0) continue;
@@ -363,7 +368,7 @@ std::vector<std::vector<StateId>> maximal_end_components(
     candidate = std::move(keep);
     if (!changed && comp == d.component) break;
     comp = d.component;
-    d = tarjan_scc(model, &candidate, &comp);
+    d = tarjan_scc(model, &candidate, &comp, choices);
   }
 
   std::vector<std::vector<StateId>> mecs;

@@ -60,10 +60,16 @@ SccDecomposition scc_decomposition(const CompiledModel& model);
 /// belong to no end component are absent from the result. Each MEC's state
 /// list is sorted; the MEC order follows the smallest member state.
 ///
+/// With `choices` (a bit per global choice id), only the marked choices
+/// count: the end components of the sub-MDP those choices span.
+///
 /// Interval iteration for Pmax needs these: value iteration from above
 /// stalls at a spurious fixpoint inside an end component, and the standard
 /// fix ("deflation") caps every MEC at its best exit value each sweep.
+/// Rmin needs the end components of its zero-reward choices, where value
+/// iteration from below stalls at 0 (total_reward_to_target).
 std::vector<std::vector<StateId>> maximal_end_components(
-    const CompiledModel& model, const StateSet& within);
+    const CompiledModel& model, const StateSet& within,
+    const Bitset* choices = nullptr);
 
 }  // namespace tml

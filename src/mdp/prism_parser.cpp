@@ -234,6 +234,13 @@ PrismModel parse_prism(const std::string& source) {
   const long init = lex.integer();
   lex.expect(';');
   if (lo != 0 || hi < lo) lex.fail("state range must be [0..N]");
+  // Every state needs a command, and the shortest one ("[]s=0->1:(s'=0);")
+  // takes 16 bytes, so a larger range cannot be valid; refusing it here
+  // also keeps a short text from sizing the model to billions of states.
+  if (static_cast<unsigned long>(hi) >= source.size() / 16) {
+    lex.fail("state range [0.." + std::to_string(hi) + "] needs more commands "
+             "than a " + std::to_string(source.size()) + "-byte model holds");
+  }
   if (init < lo || init > hi) lex.fail("initial state out of range");
 
   model.mdp.resize(static_cast<std::size_t>(hi) + 1);

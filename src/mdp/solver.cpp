@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "src/common/fault.hpp"
 #include "src/common/parallel.hpp"
@@ -140,6 +141,117 @@ SolveResult solve_one_choice(const CompiledModel& model,
   return result;
 }
 
+/// Rmin's zero-reward end components inside `region` (the finite,
+/// non-target states). A scheduler can cycle in one forever at no cost, so
+/// value iteration from 0 stalls at 0 there, while every scheduler that
+/// reaches the target pays at least the component's cheapest exit.
+/// Committing to exit choice c of member s — part of its mass p_out(c)
+/// leaves — and walking back to s for free costs
+/// (r(s) + r(c) + Σ_{t outside} p(t)·v(t)) / p_out(c): the best-exit form
+/// reach_interval uses for Pmax. Empty when the region has no zero-reward
+/// choice, so models that reward every step skip the analysis.
+struct ZeroRewardComponents {
+  struct Exit {
+    StateId state;
+    std::uint32_t choice;
+  };
+  const CompiledModel& model;
+  Bitset free;                    ///< zero-reward choices
+  std::vector<std::uint32_t> of;  ///< component of each state, or kNone
+  std::vector<std::vector<StateId>> members;
+  /// Per component; never empty, since some scheduler leads every state
+  /// of the region to the targets almost surely.
+  std::vector<std::vector<Exit>> exits;
+
+  ZeroRewardComponents(const CompiledModel& m, const StateSet& region)
+      : model(m), free(m.num_choices(), false), of(m.num_states(), kNone) {
+    // Only a state with a zero-reward choice can belong to a component.
+    StateSet candidates(model.num_states(), false);
+    for (StateId s = 0; s < model.num_states(); ++s) {
+      for (std::uint32_t c = model.first_choice(s);
+           region[s] && c < model.last_choice(s); ++c) {
+        if (model.state_reward(s) + model.choice_reward(c) == 0.0) {
+          free.set(c);
+          candidates.set(s);
+        }
+      }
+    }
+    if (candidates.none()) return;
+    members = maximal_end_components(model, candidates, &free);
+    exits.resize(members.size());
+    for (std::uint32_t i = 0; i < members.size(); ++i) {
+      for (StateId s : members[i]) of[s] = i;
+      for (StateId s : members[i]) {
+        for (std::uint32_t c = model.first_choice(s); c < model.last_choice(s);
+             ++c) {
+          if (!inside(i, c)) exits[i].push_back(Exit{s, c});
+        }
+      }
+    }
+  }
+
+  /// Whether choice c keeps all its mass in component i.
+  bool inside(std::uint32_t i, std::uint32_t c) const {
+    for (std::uint32_t k = model.choice_start()[c];
+         k < model.choice_start()[c + 1]; ++k) {
+      if (model.prob()[k] > 0.0 && of[model.target()[k]] != i) return false;
+    }
+    return true;
+  }
+
+  /// The cheapest exit of component i and its cost (+inf when every exit
+  /// can reach an infinite-valued state); the first exit on ties.
+  std::pair<double, Exit> best_exit(std::uint32_t i,
+                                    std::span<const double> values) const {
+    std::pair<double, Exit> best{kInf, exits[i].front()};
+    for (const Exit& e : exits[i]) {
+      double cost = model.state_reward(e.state) + model.choice_reward(e.choice);
+      double out = 0.0;
+      for (std::uint32_t k = model.choice_start()[e.choice];
+           k < model.choice_start()[e.choice + 1] && cost < kInf; ++k) {
+        const StateId t = model.target()[k];
+        if (model.prob()[k] == 0.0 || of[t] == i) continue;
+        out += model.prob()[k];
+        cost += model.prob()[k] * values[t];
+      }
+      if (cost / out < best.first) best = {cost / out, e};
+    }
+    return best;
+  }
+
+  /// A policy that realizes each component's value: its best exit at the
+  /// exit's state, and at every other member a zero-reward choice staying
+  /// in the component with an edge toward a member already assigned, so
+  /// the walk reaches the exit state almost surely.
+  void fix_policy(std::span<const double> values, Policy& policy) const {
+    Bitset assigned(model.num_states(), false);
+    for (std::uint32_t i = 0; i < members.size(); ++i) {
+      const Exit exit = best_exit(i, values).second;
+      policy.choice_index[exit.state] =
+          exit.choice - model.first_choice(exit.state);
+      assigned.set(exit.state);
+      for (bool changed = true; changed;) {
+        changed = false;
+        for (StateId s : members[i]) {
+          for (std::uint32_t c = model.first_choice(s);
+               !assigned[s] && c < model.last_choice(s); ++c) {
+            if (!free[c] || !inside(i, c)) continue;
+            for (std::uint32_t k = model.choice_start()[c];
+                 k < model.choice_start()[c + 1]; ++k) {
+              if (model.prob()[k] > 0.0 && assigned[model.target()[k]]) {
+                policy.choice_index[s] = c - model.first_choice(s);
+                assigned.set(s);
+                changed = true;
+                break;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+};
+
 }  // namespace
 
 void require_finished(const SolveResult& result, const char* engine,
@@ -161,14 +273,6 @@ SolveResult value_iteration_discounted(const CompiledModel& model,
   SolveResult result;
   result.values.assign(n, 0.0);
   result.policy.choice_index.assign(n, 0);
-  // Warm seed: the discounted Bellman operator is a γ-contraction with a
-  // unique fixpoint, so ANY finite seed converges to the same values — a
-  // previous solution after a small perturbation just gets there in far
-  // fewer sweeps. No certification needed (unlike the undiscounted
-  // reachability engines).
-  if (options.warm != nullptr && options.warm->values.size() == n) {
-    result.values = options.warm->values;
-  }
   iterate_to_fixpoint(
       "value_iteration_discounted", options, &result,
       [&](std::size_t begin, std::size_t end, std::span<const double> values,
@@ -279,28 +383,52 @@ SolveResult total_reward_to_target(const CompiledModel& model,
     if (!finite[s]) result.values[s] = kInf;
     if (targets[s]) result.values[s] = 0.0;
   }
+  // Rmax's finite region has no end component outside the targets (every
+  // scheduler reaches them almost surely); Rmin's may, at zero reward.
+  // `plain` holds the states the ordinary Bellman step updates.
+  StateSet plain = set_intersection(finite, complement(targets));
+  const ZeroRewardComponents components(
+      model, objective == Objective::kMinimize ? plain : StateSet(n, false));
+  for (const auto& members : components.members) {
+    for (StateId s : members) plain.set(s, false);
+  }
 
   iterate_to_fixpoint(
       "total_reward_to_target", options, &result,
       [&](std::size_t begin, std::size_t end, std::span<const double> values,
           std::vector<double>& next) {
         double local = 0.0;
+        // Members of one component are usually adjacent: cache its value.
+        std::uint32_t cached = kNone;
+        double cached_value = 0.0;
         for (StateId s = begin; s < end; ++s) {
-          if (targets[s] || !finite[s]) continue;
-          const BestChoice best =
-              best_choice(model, s, objective, [&](std::uint32_t c) {
-                return choice_q(model, s, c, values, 1.0);
-              });
-          next[s] = best.value;
-          result.policy.choice_index[s] = best.choice;
-          if (std::isfinite(best.value) && std::isfinite(values[s])) {
-            local = std::max(local, std::abs(next[s] - values[s]));
-          } else if (std::isinf(best.value) != std::isinf(values[s])) {
+          double value;
+          if (plain[s]) {
+            const BestChoice best =
+                best_choice(model, s, objective, [&](std::uint32_t c) {
+                  return choice_q(model, s, c, values, 1.0);
+                });
+            value = best.value;
+            result.policy.choice_index[s] = best.choice;
+          } else if (const std::uint32_t m = components.of[s]; m != kNone) {
+            if (m != cached) {
+              cached = m;
+              cached_value = components.best_exit(m, values).first;
+            }
+            value = cached_value;
+          } else {
+            continue;  // a target (0) or an infinite state
+          }
+          next[s] = value;
+          if (std::isfinite(value) && std::isfinite(values[s])) {
+            local = std::max(local, std::abs(value - values[s]));
+          } else if (std::isinf(value) != std::isinf(values[s])) {
             local = kInf;
           }
         }
         return local;
       });
+  components.fix_policy(result.values, result.policy);
   return result;
 }
 

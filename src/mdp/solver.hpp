@@ -56,46 +56,23 @@ enum class SolveMethod {
   kIntervalTopological,
 };
 
-/// Warm-start seed for the iterative solvers, produced by a previous solve
-/// of the SAME graph (same states, same positive-probability support, same
-/// target set and objective) whose probabilities were then perturbed in
-/// place — exactly what patch_probabilities() certifies. Because the graph
-/// is unchanged, every qualitative analysis (prob0/prob1, SCC condensation,
-/// end components) from the seeding run is still exact, and SCC blocks with
-/// no dirty state and no dirty block downstream cannot have changed value
-/// at all — the warm engines skip them outright.
-///
-/// Soundness of the certified bracket does NOT rest on the caller's
-/// widening being large enough: before a re-swept block accepts a widened
-/// seed, the solver applies one Bellman step and checks the
-/// super-/sub-solution inequalities (F(hi) ≤ hi always certifies an
-/// upper bound, since the reachability value is the least fixpoint;
-/// F(lo) ≥ lo certifies a lower bound when the block has no end component
-/// among its unknown states, which the engine checks). A seed that fails
-/// its certificate is replaced by the cold 0/1 initialization for that
-/// block — warm starts can only lose speed, never soundness.
+/// Qualitative sets cached from an earlier solve of the SAME graph (same
+/// states, same positive-probability support, same target set and
+/// objective) whose probabilities were then perturbed in place — exactly
+/// what patch_probabilities() certifies. prob0/prob1 are pure graph
+/// properties of the positive support, so the reachability engine reuses
+/// them and skips the graph analyses. No solver reads a numeric seed: the
+/// DTMC solves are direct, and the interval engine starts from the
+/// graph-certain 0/1 bounds.
 struct WarmStart {
-  /// Previous point estimate; seeds the discounted value iteration (size
-  /// must equal num_states, else the seed is ignored).
-  std::vector<double> values;
-  /// Previous certified bracket; seeds the interval engine (both must be
-  /// num_states-sized, else ignored).
-  std::vector<double> lo;
-  std::vector<double> hi;
-  /// States whose outgoing probabilities changed since the seed was
-  /// produced (PatchResult::dirty). Empty or mis-sized = assume all dirty.
-  StateSet dirty;
-  /// Per-state probability perturbation bound: [lo−widen, hi+widen] is the
-  /// candidate re-widened seed for dirty blocks (then certified as above).
-  /// Negative = cold-seed mode: re-swept blocks start from the cold 0/1
-  /// initialization, which makes the warm run BITWISE identical to a full
-  /// cold solve (unaffected blocks hold values a cold run would recompute
-  /// identically) while still skipping every unaffected block.
-  double widen = 0.0;
-  /// Cached prob0/prob1 sets from the seeding run (same objective!); both
+  std::vector<double> values;  ///< inert; removed with perfbench's use
+  std::vector<double> lo;      ///< inert; removed with perfbench's use
+  std::vector<double> hi;      ///< inert; removed with perfbench's use
+  StateSet dirty;              ///< inert; removed with perfbench's use
+  double widen = 0.0;          ///< inert; removed with perfbench's use
+  /// Cached prob0/prob1 sets from the earlier run (same objective!); both
   /// num_states-sized = reuse, skipping the graph analyses entirely.
-  /// Anything else = recompute. Valid because support-preserving patches
-  /// leave the qualitative sets unchanged.
+  /// Anything else = recompute.
   StateSet zero;
   StateSet one;
 };
@@ -124,9 +101,9 @@ struct SolverOptions {
   /// DTMC direct solves, which tick once per EnvelopeLU::kColumnsPerTick
   /// factored columns.
   Budget budget = default_budget();
-  /// Optional warm-start seed (non-owning; must outlive the call). nullptr
-  /// = cold start. See WarmStart for the caller contract and the per-block
-  /// certification that keeps interval brackets sound.
+  /// Optional cached prob0/prob1 sets for the reachability engine
+  /// (non-owning; must outlive the call). nullptr = compute them. See
+  /// WarmStart for the caller contract.
   const WarmStart* warm = nullptr;
 };
 
@@ -182,7 +159,10 @@ SolveResult policy_iteration_discounted(const CompiledModel& model,
 /// value 0), optimizing in the given direction. States from which targets
 /// are not reached with probability 1 under the optimizing behaviour have
 /// infinite expected reward; the solver reports +inf for them (using a
-/// reachability precomputation).
+/// reachability precomputation). For Rmin, each end component of
+/// zero-reward choices is collapsed every sweep to its cheapest normalized
+/// exit — value iteration from 0 would stall at 0 inside one — and the
+/// returned policy walks to that exit and takes it.
 SolveResult total_reward_to_target(const CompiledModel& model,
                                    const StateSet& targets,
                                    Objective objective,

@@ -1,10 +1,10 @@
 // Exact-arithmetic reachability oracle + seeded random model generator for
 // the differential test harness (tests/test_differential.cpp).
 //
-// The oracle computes optimal reachability probabilities — and, on
-// one-choice models, expected total rewards — with NO rounding:
-// policy iteration whose evaluation step is Gaussian elimination over
-// BigRational (src/rational/exact.hpp). Soundness rests on three pieces:
+// The oracle computes optimal reachability probabilities and expected
+// total rewards with NO rounding: policy iteration (rewards: enumeration
+// of every memoryless policy of a small model) whose evaluation step is
+// Gaussian elimination over BigRational (src/rational/exact.hpp). Soundness rests on three pieces:
 //
 //  1. The qualitative prob0/prob1 regions come from the graph analyses
 //     (src/mdp/graph.hpp), which only test `prob > 0` and are therefore
@@ -199,28 +199,52 @@ inline std::vector<BigRational> exact_reachability(const CompiledModel& model,
                      "terminate (implementation bug)");
 }
 
-/// Exact expected total reward (state plus choice reward per step) of a
-/// one-choice model until reaching `targets`, which pin 0. States that
-/// reach the targets with probability < 1 have infinite expected reward,
-/// reported as nullopt. The finite region is the graph analysis' exact
-/// one-set; it is closed under successors outside the targets, so the
-/// linear system over it is nonsingular.
-inline std::vector<std::optional<BigRational>> exact_total_reward(
-    const CompiledModel& model, const StateSet& targets) {
+/// Exact expected total reward (state plus choice reward per step) of the
+/// memoryless policy `choice_of` (one global choice id per state) until
+/// reaching `targets`, which pin 0. States that miss the targets with
+/// positive probability under the policy have infinite expected reward,
+/// reported as nullopt. The finite region comes from plain closures over
+/// the policy's edges — the states that cannot reach a state which cannot
+/// reach a target, through non-target states — so it is closed under
+/// successors outside the targets, and the linear system over it is
+/// nonsingular.
+inline std::vector<std::optional<BigRational>> exact_policy_reward(
+    const CompiledModel& model, const std::vector<std::uint32_t>& choice_of,
+    const StateSet& targets) {
   const std::size_t n = model.num_states();
-  TML_REQUIRE(model.num_choices() == n,
-              "oracle::exact_total_reward: model has more than one choice "
-              "in some state");
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  const StateSet finite =
-      reach_prob01(model, targets, Objective::kMinimize).one;
+  // Backward closure over the policy's positive edges, through non-target
+  // states, from the states `seed` marks.
+  const auto closure = [&](std::vector<char> set) {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (StateId s = 0; s < n; ++s) {
+        if (set[s] || targets[s]) continue;
+        const std::uint32_t c = choice_of[s];
+        for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+          if (prob[k] > 0.0 && set[target[k]]) {
+            set[s] = 1;
+            changed = true;
+            break;
+          }
+        }
+      }
+    }
+    return set;
+  };
+  std::vector<char> hits(n, 0);
+  for (StateId s = 0; s < n; ++s) hits[s] = targets[s] ? 1 : 0;
+  const std::vector<char> reaches = closure(std::move(hits));
+  std::vector<char> misses(n, 0);
+  for (StateId s = 0; s < n; ++s) misses[s] = reaches[s] ? 0 : 1;
+  const std::vector<char> may_miss = closure(std::move(misses));
 
   std::vector<std::ptrdiff_t> index(n, -1);
   std::vector<StateId> unknowns;
   for (StateId s = 0; s < n; ++s) {
-    if (finite[s] && !targets[s]) {
+    if (!may_miss[s] && !targets[s]) {
       index[s] = static_cast<std::ptrdiff_t>(unknowns.size());
       unknowns.push_back(s);
     }
@@ -230,14 +254,14 @@ inline std::vector<std::optional<BigRational>> exact_total_reward(
   std::vector<BigRational> b(m);
   for (std::size_t i = 0; i < m; ++i) {
     const StateId s = unknowns[i];
-    const std::uint32_t c = model.first_choice(s);
+    const std::uint32_t c = choice_of[s];
     a[i][i] = BigRational(1);
     b[i] = BigRational::from_double(model.state_reward(s)) +
            BigRational::from_double(model.choice_reward(c));
     for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-      if (targets[target[k]]) continue;  // pinned to 0
+      if (prob[k] == 0.0 || targets[target[k]]) continue;  // pinned to 0
       TML_REQUIRE(index[target[k]] >= 0,
-                  "oracle::exact_total_reward: finite region not closed");
+                  "oracle::exact_policy_reward: finite region not closed");
       a[i][static_cast<std::size_t>(index[target[k]])] -=
           BigRational::from_double(prob[k]);
     }
@@ -253,6 +277,50 @@ inline std::vector<std::optional<BigRational>> exact_total_reward(
     }
   }
   return values;
+}
+
+/// Exact Rmin/Rmax(F targets) per state (PRISM semantics: a scheduler that
+/// misses the targets with positive probability pays +inf, reported as
+/// nullopt). Memoryless deterministic schedulers suffice for both, so this
+/// enumerates every one of them — meant for models of a few states — and
+/// takes the per-state optimum of exact_policy_reward. On a one-choice
+/// model it is that one policy's value.
+inline std::vector<std::optional<BigRational>> exact_total_reward(
+    const CompiledModel& model, const StateSet& targets,
+    Objective objective = Objective::kMinimize) {
+  const std::size_t n = model.num_states();
+  std::size_t policies = 1;
+  for (StateId s = 0; s < n; ++s) {
+    policies *= model.num_choices_of(s);
+    TML_REQUIRE(policies <= (std::size_t{1} << 16),
+                "oracle::exact_total_reward: too many policies to enumerate");
+  }
+  std::vector<std::uint32_t> choice_of(n);
+  for (StateId s = 0; s < n; ++s) choice_of[s] = model.first_choice(s);
+  std::vector<std::optional<BigRational>> best;
+  for (std::size_t p = 0; p < policies; ++p) {
+    const std::vector<std::optional<BigRational>> values =
+        exact_policy_reward(model, choice_of, targets);
+    if (p == 0) {
+      best = values;
+    } else {
+      for (StateId s = 0; s < n; ++s) {
+        if (objective == Objective::kMinimize) {
+          if (values[s] && (!best[s] || *values[s] < *best[s])) {
+            best[s] = values[s];
+          }
+        } else if (best[s] && (!values[s] || *best[s] < *values[s])) {
+          best[s] = values[s];
+        }
+      }
+    }
+    // Next policy: a mixed-radix increment over the states' choices.
+    for (StateId s = 0; s < n; ++s) {
+      if (++choice_of[s] < model.last_choice(s)) break;
+      choice_of[s] = model.first_choice(s);
+    }
+  }
+  return best;
 }
 
 /// Exact long-run occupancy of a one-choice model from its initial state.

@@ -7,6 +7,7 @@
 #include "src/checker/check.hpp"
 #include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
+#include "src/mdp/solver.hpp"
 
 namespace tml {
 namespace {
@@ -197,6 +198,49 @@ TEST(MdpChecker, RewardInfiniteCases) {
   EXPECT_TRUE(std::isinf(*check(mdp, "Rmax=? [ F \"goal\" ]").value));
   // Rmin: the direct route exists ⇒ finite.
   EXPECT_TRUE(std::isfinite(*check(mdp, "Rmin=? [ F \"goal\" ]").value));
+}
+
+TEST(MdpChecker, RewardMinPaysToLeaveAZeroRewardCycle) {
+  // s0 ⇄ s1 cycles at no cost; only [go] reaches the goal, for 1. Value
+  // iteration from 0 used to stay at 0 on the cycle.
+  Mdp mdp(3);
+  mdp.add_choice(0, "loop", {Transition{1, 1.0}});
+  mdp.add_choice(0, "go", {Transition{2, 1.0}}, 1.0);
+  mdp.add_choice(1, "back", {Transition{0, 1.0}});
+  mdp.add_choice(2, "done", {Transition{2, 1.0}});
+  mdp.add_label(2, "goal");
+  EXPECT_NEAR(*check(mdp, "Rmin=? [ F \"goal\" ]").value, 1.0, 1e-9);
+  EXPECT_TRUE(std::isinf(*check(mdp, "Rmax=? [ F \"goal\" ]").value));
+
+  // The policy leaves the cycle, so its induced chain reaches the goal.
+  const CompiledModel model = compile(mdp);
+  const SolveResult result = total_reward_to_target(
+      model, model.states_with_label("goal"), Objective::kMinimize);
+  EXPECT_EQ(result.policy.at(0), 1u);
+  EXPECT_EQ(result.policy.at(1), 0u);
+  EXPECT_NEAR(result.values[1], 1.0, 1e-9);
+}
+
+TEST(MdpChecker, RewardMinTakesTheCheapestNormalizedExit) {
+  // {s0, s1} is a zero-reward end component. Exit [x] costs 4 and leaves
+  // with 1/2 (8 in expectation); exit [y] costs 1 and leaves with 1/4 (4).
+  // s2 pays 1 to enter the component.
+  Mdp mdp(4);
+  mdp.add_choice(0, "a", {Transition{1, 1.0}});
+  mdp.add_choice(0, "x", {Transition{3, 0.5}, Transition{0, 0.5}}, 4.0);
+  mdp.add_choice(1, "b", {Transition{0, 1.0}});
+  mdp.add_choice(1, "y", {Transition{3, 0.25}, Transition{1, 0.75}}, 1.0);
+  mdp.add_choice(2, "enter", {Transition{0, 1.0}}, 1.0);
+  mdp.add_choice(3, "done", {Transition{3, 1.0}});
+  mdp.add_label(3, "goal");
+  const CompiledModel model = compile(mdp);
+  const SolveResult result = total_reward_to_target(
+      model, model.states_with_label("goal"), Objective::kMinimize);
+  EXPECT_NEAR(result.values[0], 4.0, 1e-9);
+  EXPECT_NEAR(result.values[1], 4.0, 1e-9);
+  EXPECT_NEAR(result.values[2], 5.0, 1e-9);
+  EXPECT_EQ(result.policy.at(0), 0u);  // walk to s1 for free
+  EXPECT_EQ(result.policy.at(1), 1u);  // then take [y]
 }
 
 TEST(MdpChecker, CumulativeReward) {

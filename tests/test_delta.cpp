@@ -1,19 +1,15 @@
-// Streaming-repair differential suite (ctest label `delta`).
+// Streaming-repair suite (ctest label `delta`).
 //
-// Exercises the delta-compile / warm-start pipeline end to end against the
-// exact rational oracle: support-preserving probability patches must equal a
-// fresh compile bitwise; warm-started interval solves on randomized
-// perturbation streams must keep their certified bracket containing the
-// oracle value; cold-seed mode (WarmStart::widen < 0) must be bitwise
-// identical to a full cold solve; and the satellites — Budget::remaining/
-// split, stats snapshots, the compiled-model staleness guard, IncrementalMle,
-// the trajectory batch parser, and RepairSession itself — each get their
-// contract pinned down.
+// Exercises the delta-compile pipeline: support-preserving probability
+// patches must equal a fresh compile bitwise, fall back on any structural
+// change, and keep the graph caches honest; and the satellites —
+// Budget::remaining/split, stats snapshots, IncrementalMle, the trajectory
+// batch parser, and RepairSession itself (learn → patch → direct certify →
+// repair) — each get their contract pinned down.
 //
 // The random generator emits dyadic k/1024 probabilities and the perturber
 // below moves whole 1/1024 units between transitions of one choice, so every
-// perturbed model is still exactly representable and the oracle comparison
-// has no generator rounding.
+// perturbed model is still exactly representable.
 
 #include <cmath>
 #include <cstdlib>
@@ -83,22 +79,6 @@ std::size_t perturb_support_preserving(Mdp& mdp, Rng& rng,
     if (touched) ++changed;
   }
   return changed;
-}
-
-void expect_bracket_contains_oracle(const SolveResult& result,
-                                    const std::vector<BigRational>& exact,
-                                    const std::string& context) {
-  const BigRational slack = BigRational::from_double(1e-12);
-  for (StateId s = 0; s < exact.size(); ++s) {
-    const BigRational lo = BigRational::from_double(result.lo[s]);
-    const BigRational hi = BigRational::from_double(result.hi[s]);
-    EXPECT_TRUE(lo <= exact[s] + slack)
-        << context << ": lo[" << s << "] = " << result.lo[s]
-        << " above exact value";
-    EXPECT_TRUE(exact[s] <= hi + slack)
-        << context << ": hi[" << s << "] = " << result.hi[s]
-        << " below exact value";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,180 +219,6 @@ TEST(DeltaCompile, StaleGraphCachesThrowAfterRawMutation) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-started interval solves on perturbation streams, vs the oracle
-
-TEST(DeltaWarm, StreamedBracketsContainOracle) {
-  for (std::uint64_t trial = 0; trial < 3; ++trial) {
-    const std::uint64_t seed = base_seed() + 10 * (trial + 1);
-    Rng rng(seed);
-    const oracle::RandomModel rm = oracle::random_model(rng);
-    const Objective objective =
-        trial % 2 == 0 ? Objective::kMaximize : Objective::kMinimize;
-    const std::string context = "seed " + std::to_string(seed);
-
-    CompiledModel model = compile(rm.mdp);
-    SolverOptions opts;
-    opts.tolerance = 1e-9;
-    opts.max_iterations = 5000000;
-
-    SolveResult prev =
-        mdp_reachability_bracket(model, rm.targets, objective, opts);
-    ASSERT_TRUE(prev.converged);
-    expect_bracket_contains_oracle(
-        prev, oracle::exact_reachability(model, rm.targets, objective),
-        context + " cold");
-
-    Mdp current = rm.mdp;
-    for (int step = 0; step < 5; ++step) {
-      if (perturb_support_preserving(current, rng) == 0) continue;
-      const PatchResult patch = patch_probabilities(model, current);
-      ASSERT_TRUE(patch.patched) << context;
-
-      WarmStart seed_ws;
-      seed_ws.values = prev.values;
-      seed_ws.lo = prev.lo;
-      seed_ws.hi = prev.hi;
-      seed_ws.dirty = patch.dirty;
-      seed_ws.widen = 4.0 * patch.max_abs_delta;
-      seed_ws.zero = prev.zero;
-      seed_ws.one = prev.one;
-      SolverOptions warm_opts = opts;
-      warm_opts.warm = &seed_ws;
-
-      const SolveResult warm =
-          mdp_reachability_bracket(model, rm.targets, objective, warm_opts);
-      ASSERT_TRUE(warm.converged) << context << " step " << step;
-      const std::string where =
-          context + " warm step " + std::to_string(step);
-      expect_bracket_contains_oracle(
-          warm, oracle::exact_reachability(model, rm.targets, objective),
-          where);
-      for (StateId s = 0; s < model.num_states(); ++s) {
-        EXPECT_LT(warm.hi[s] - warm.lo[s], opts.tolerance + 1e-12) << where;
-      }
-      prev = warm;
-    }
-  }
-}
-
-TEST(DeltaWarm, ColdSeedModeBitwiseIdenticalToColdSolve) {
-  Rng rng(base_seed() + 40);
-  const oracle::RandomModel rm = oracle::random_model(rng);
-  CompiledModel model = compile(rm.mdp);
-  SolverOptions opts;
-  opts.tolerance = 1e-9;
-  opts.max_iterations = 5000000;
-
-  SolveResult prev =
-      mdp_reachability_bracket(model, rm.targets, Objective::kMaximize, opts);
-  ASSERT_TRUE(prev.converged);
-
-  Mdp current = rm.mdp;
-  for (int step = 0; step < 4; ++step) {
-    if (perturb_support_preserving(current, rng) == 0) continue;
-    const PatchResult patch = patch_probabilities(model, current);
-    ASSERT_TRUE(patch.patched);
-
-    WarmStart seed;
-    seed.values = prev.values;
-    seed.lo = prev.lo;
-    seed.hi = prev.hi;
-    seed.dirty = patch.dirty;
-    seed.widen = -1.0;  // cold-seed mode: identical values, fewer blocks
-    seed.zero = prev.zero;
-    seed.one = prev.one;
-    SolverOptions warm_opts = opts;
-    warm_opts.warm = &seed;
-    const SolveResult warm = mdp_reachability_bracket(
-        model, rm.targets, Objective::kMaximize, warm_opts);
-
-    const SolveResult cold = mdp_reachability_bracket(
-        compile(current), rm.targets, Objective::kMaximize, opts);
-    ASSERT_TRUE(warm.converged);
-    ASSERT_TRUE(cold.converged);
-    for (StateId s = 0; s < model.num_states(); ++s) {
-      EXPECT_EQ(warm.lo[s], cold.lo[s]) << "step " << step << " state " << s;
-      EXPECT_EQ(warm.hi[s], cold.hi[s]) << "step " << step << " state " << s;
-      EXPECT_EQ(warm.values[s], cold.values[s])
-          << "step " << step << " state " << s;
-    }
-    prev = warm;
-  }
-}
-
-TEST(DeltaWarm, WarmSolveIsThreadDeterministic) {
-  Rng rng(base_seed() + 50);
-  const oracle::RandomModel rm =
-      oracle::random_model(rng, oracle::RandomModelConfig{.num_states = 40});
-  CompiledModel model = compile(rm.mdp);
-  SolverOptions opts;
-  opts.tolerance = 1e-9;
-  opts.max_iterations = 5000000;
-  const SolveResult prev =
-      mdp_reachability_bracket(model, rm.targets, Objective::kMaximize, opts);
-
-  Mdp current = rm.mdp;
-  while (perturb_support_preserving(current, rng) == 0) {
-  }
-  const PatchResult patch = patch_probabilities(model, current);
-  ASSERT_TRUE(patch.patched);
-
-  WarmStart seed;
-  seed.values = prev.values;
-  seed.lo = prev.lo;
-  seed.hi = prev.hi;
-  seed.dirty = patch.dirty;
-  seed.widen = 4.0 * patch.max_abs_delta;
-  seed.zero = prev.zero;
-  seed.one = prev.one;
-
-  SolveResult reference;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    SolverOptions warm_opts = opts;
-    warm_opts.warm = &seed;
-    warm_opts.threads = threads;
-    const SolveResult result = mdp_reachability_bracket(
-        model, rm.targets, Objective::kMaximize, warm_opts);
-    if (threads == 1u) {
-      reference = result;
-      continue;
-    }
-    EXPECT_EQ(result.iterations, reference.iterations);
-    EXPECT_EQ(result.lo, reference.lo) << threads << " threads";
-    EXPECT_EQ(result.hi, reference.hi) << threads << " threads";
-    EXPECT_EQ(result.values, reference.values) << threads << " threads";
-  }
-}
-
-TEST(DeltaWarm, DiscountedSolverAcceptsPointSeed) {
-  Rng rng(base_seed() + 60);
-  oracle::RandomModel rm = oracle::random_model(rng);
-  for (StateId s = 0; s < rm.mdp.num_states(); ++s) {
-    rm.mdp.set_state_reward(s, rng.uniform());
-  }
-  const CompiledModel model = compile(rm.mdp);
-  SolverOptions opts;
-  opts.tolerance = 1e-10;
-  opts.max_iterations = 1000000;
-  const SolveResult cold =
-      value_iteration_discounted(model, 0.9, Objective::kMaximize, opts);
-  ASSERT_TRUE(cold.converged);
-
-  WarmStart seed;
-  seed.values = cold.values;
-  SolverOptions warm_opts = opts;
-  warm_opts.warm = &seed;
-  const SolveResult warm =
-      value_iteration_discounted(model, 0.9, Objective::kMaximize, warm_opts);
-  ASSERT_TRUE(warm.converged);
-  // Seeding at the fixpoint: the γ-contraction confirms in O(1) sweeps.
-  EXPECT_LT(warm.iterations, cold.iterations);
-  for (StateId s = 0; s < model.num_states(); ++s) {
-    EXPECT_NEAR(warm.values[s], cold.values[s], 1e-8);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Budget satellites
 
 TEST(DeltaBudget, RemainingAndSplit) {
@@ -475,17 +281,13 @@ TEST(DeltaStats, SnapshotDeltaMeterPhase) {
   stats::set_enabled(was_enabled);
 }
 
-TEST(DeltaStats, PatchAndWarmSolveRecordCounters) {
+TEST(DeltaStats, PatchRecordsCounters) {
   const bool was_enabled = stats::enabled();
   stats::set_enabled(true);
 
   Rng rng(base_seed() + 70);
   const oracle::RandomModel rm = oracle::random_model(rng);
   CompiledModel model = compile(rm.mdp);
-  SolverOptions opts;
-  opts.tolerance = 1e-7;
-  const SolveResult prev =
-      mdp_reachability_bracket(model, rm.targets, Objective::kMaximize, opts);
 
   Mdp current = rm.mdp;
   while (perturb_support_preserving(current, rng) == 0) {
@@ -494,27 +296,12 @@ TEST(DeltaStats, PatchAndWarmSolveRecordCounters) {
   const stats::Snapshot before = stats::snapshot();
   const PatchResult patch = patch_probabilities(model, current);
   ASSERT_TRUE(patch.patched);
-  WarmStart seed;
-  seed.values = prev.values;
-  seed.lo = prev.lo;
-  seed.hi = prev.hi;
-  seed.dirty = patch.dirty;
-  seed.widen = 4.0 * patch.max_abs_delta;
-  seed.zero = prev.zero;
-  seed.one = prev.one;
-  SolverOptions warm_opts = opts;
-  warm_opts.warm = &seed;
-  mdp_reachability_bracket(model, rm.targets, Objective::kMaximize, warm_opts);
   const stats::Snapshot d = stats::delta(before, stats::snapshot());
 
   EXPECT_EQ(d.counter("compile.patch_calls"), 1u);
   EXPECT_EQ(d.counter("compile.patch_hits"), 1u);
   EXPECT_EQ(d.counter("compile.patch_fallbacks"), 0u);
   EXPECT_GT(d.counter("compile.patch_dirty_states"), 0u);
-  EXPECT_EQ(d.counter("checker.warm_solves"), 1u);
-  EXPECT_GT(d.counter("checker.warm_blocks_skipped") +
-                d.counter("checker.warm_blocks_resolved"),
-            0u);
 
   stats::set_enabled(was_enabled);
 }
@@ -786,6 +573,31 @@ TEST(DeltaSession, CertifyOnlySessionReportsViolationsWithoutRepairing) {
   EXPECT_TRUE(outcome.violated);
   EXPECT_FALSE(outcome.repaired);
   EXPECT_EQ(session.report().repairs, 0u);
+  EXPECT_FALSE(session.report().final_satisfied);
+}
+
+TEST(DeltaSession, CancelledBudgetCertifiesTheWholeUnitInterval) {
+  // The factorization stops on its first budget tick: the batch records the
+  // stop and the sound bracket [0, 1], which straddles the bound.
+  Dtmc structure(3);
+  structure.set_transitions(0, {Transition{0, 0.5}, Transition{1, 0.25},
+                                Transition{2, 0.25}});
+  structure.set_transitions(1, {Transition{1, 1.0}});
+  structure.set_transitions(2, {Transition{2, 1.0}});
+  structure.add_label(1, "goal");
+
+  RepairSessionConfig config;  // certify-only
+  config.budget.cancel.cancel();
+  RepairSession session(structure, parse_pctl("P>=0.4 [ F \"goal\" ]"),
+                        config);
+  TrajectoryDataset batch;
+  batch.add(hop(0, 1), 8.0);
+  const BatchOutcome& outcome = session.feed(batch);
+  EXPECT_EQ(outcome.budget_status, BudgetStatus::kBudgetExhausted);
+  EXPECT_EQ(outcome.budget_stop, BudgetStop::kCancelled);
+  EXPECT_EQ(outcome.lo, 0.0);
+  EXPECT_EQ(outcome.hi, 1.0);
+  EXPECT_TRUE(outcome.violated);
   EXPECT_FALSE(session.report().final_satisfied);
 }
 

@@ -1,6 +1,7 @@
 // Differential test harness: the floating-point engines (sound interval
-// iteration, and the sparse direct DTMC solves of reachability, expected
-// total reward and the long-run distribution) are cross-checked against an exact rational-arithmetic
+// iteration, MDP total-reward value iteration, and the sparse direct DTMC
+// solves of reachability, expected total reward and the long-run
+// distribution) are cross-checked against an exact rational-arithmetic
 // oracle (tests/oracle.hpp) on seeded random models.
 //
 // The generator emits dyadic probabilities (k/1024), so the float model and
@@ -209,6 +210,54 @@ TEST(Differential, MdpEnginesMatchExactOracle) {
     const oracle::RandomModel rm = oracle::random_model(model_rng, cfg);
     check_against_oracle(rm, Objective::kMaximize, seed);
     check_against_oracle(rm, Objective::kMinimize, seed);
+  }
+}
+
+TEST(Differential, MdpTotalRewardMatchesExactOracle) {
+  // Random MDPs (n ≤ 8, ≤ 3 choices) where about half the choices earn
+  // nothing, so zero-reward end components are common: Rmin and Rmax from
+  // value iteration land within 1e-6 relative of the optimum over every
+  // memoryless policy, and infinite values agree.
+  Rng rng(base_seed() ^ 0x2E3Au);
+  for (int rep = 0; rep < 48; ++rep) {
+    oracle::RandomModelConfig cfg;
+    cfg.num_states = 2 + rng.index(7);
+    cfg.max_choices = 3;
+    cfg.trap_prob = 0.04;
+    const std::uint64_t seed = rng.seed() + static_cast<std::uint64_t>(rep);
+    Rng model_rng(seed);
+    oracle::RandomModel rm = oracle::random_model(model_rng, cfg);
+    for (StateId s = 0; s < cfg.num_states; ++s) {
+      for (Choice& choice : rm.mdp.mutable_choices(s)) {
+        choice.reward = model_rng.bernoulli(0.5)
+                            ? 0.0
+                            : static_cast<double>(1 + model_rng.index(8)) / 8.0;
+      }
+    }
+    const CompiledModel model = compile(rm.mdp);
+    SolverOptions opts;
+    opts.tolerance = 1e-12;
+    opts.max_iterations = 5000000;
+    for (const Objective objective :
+         {Objective::kMinimize, Objective::kMaximize}) {
+      const char* dir = objective == Objective::kMaximize ? "max" : "min";
+      const std::vector<std::optional<BigRational>> exact =
+          oracle::exact_total_reward(model, rm.targets, objective);
+      const SolveResult got =
+          total_reward_to_target(model, rm.targets, objective, opts);
+      for (StateId s = 0; s < model.num_states(); ++s) {
+        if (!exact[s]) {
+          EXPECT_TRUE(std::isinf(got.values[s]))
+              << "seed=" << seed << " " << dir << " state=" << s
+              << " value=" << got.values[s];
+          continue;
+        }
+        const double want = exact[s]->to_double();
+        EXPECT_NEAR(got.values[s], want, 1e-6 * std::max(1.0, want))
+            << "seed=" << seed << " " << dir << " state=" << s
+            << " oracle=" << exact[s]->to_string();
+      }
+    }
   }
 }
 

@@ -57,6 +57,29 @@ TEST(ExportPrism, LabelOverManyStatesIsDisjunction) {
   EXPECT_EQ(std::count(line.begin(), line.end(), '|'), 2);
 }
 
+TEST(ExportPrism, DtmcLabelsFollowFirstUseNotDeclaration) {
+  // "late" is declared first but first used by state 2; labels list in
+  // first-use order, scanning states, exactly as the chain's MDP view does.
+  Dtmc chain(3);
+  for (StateId s = 0; s < 3; ++s) {
+    chain.set_transitions(s, {Transition{s, 1.0}});
+  }
+  chain.add_label(2, "late");
+  chain.add_label(0, "early");
+  chain.add_label(2, "early");
+  const std::string out = to_prism(chain, "m");
+  const std::size_t early = out.find("label \"early\" = (s=0) | (s=2);");
+  const std::size_t late = out.find("label \"late\" = (s=2);");
+  ASSERT_NE(early, std::string::npos);
+  ASSERT_NE(late, std::string::npos);
+  EXPECT_LT(early, late);
+  const auto label_block = [](const std::string& text) {
+    const std::size_t begin = text.find("endmodule");
+    return text.substr(begin, text.find("rewards") - begin);
+  };
+  EXPECT_EQ(label_block(out), label_block(to_prism(chain.as_mdp(), "m")));
+}
+
 TEST(ExportPrism, SanitizesModuleName) {
   const std::string out = to_prism(small_chain(), "bad name!");
   EXPECT_NE(out.find("module badname"), std::string::npos);

@@ -434,6 +434,77 @@ TEST_F(JournalTest, ResumeReplaysToIdenticalReport) {
   EXPECT_EQ(encode_session_report(session.report()), reference_report_bytes());
 }
 
+TEST_F(JournalTest, ResumeSkipsTheSolverSeedOfAPreviousLayout) {
+  // Checkpoints once carried the interval engine's warm seed after the
+  // report: a flag, then point values, lo and hi (length-prefixed doubles)
+  // and the prob0/prob1 sets (bit count + packed bits). The layout keeps
+  // the flag; a resume must skip such a seed and still replay exactly.
+  const std::string path = temp_path("session_seeded_checkpoint.tmlj");
+  const std::vector<TrajectoryDataset> batches = session_batches();
+  {
+    RepairSessionConfig config = session_config(5);
+    config.journal_path = path;
+    config.checkpoint_every = 2;
+    RepairSession session(split_structure(), session_property(),
+                          std::move(config));
+    for (std::size_t i = 0; i < 3; ++i) session.feed(batches[i]);
+  }
+
+  // The checkpoint follows batch 2; its length-prefixed report locates the
+  // seed flag.
+  std::string report;
+  {
+    RepairSession volatile_session(split_structure(), session_property(),
+                                   session_config(5));
+    volatile_session.feed(batches[0]);
+    volatile_session.feed(batches[1]);
+    journal_io::put_bytes(report,
+                          encode_session_report(volatile_session.report()));
+  }
+  std::string seed;
+  journal_io::put_u8(seed, 1);
+  for (int v = 0; v < 3; ++v) {
+    journal_io::put_u64(seed, 3);
+    for (double x : {0.25, 1.0, 0.0}) journal_io::put_f64(seed, x);
+  }
+  for (int v = 0; v < 2; ++v) {
+    journal_io::put_u64(seed, 3);
+    journal_io::put_bytes(seed, std::string(1, '\x02'));
+  }
+
+  JournalScan scan = scan_journal(path);
+  std::size_t seeded = 0;
+  for (JournalRecord& record : scan.records) {
+    if (record.type != JournalRecordType::kCheckpoint) continue;
+    const std::size_t at = record.payload.find(report);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t flag = at + report.size();
+    ASSERT_LT(flag, record.payload.size());
+    ASSERT_EQ(record.payload[flag], '\0');  // this layout writes "no seed"
+    record.payload.replace(flag, 1, seed);
+    ++seeded;
+  }
+  ASSERT_EQ(seeded, 1u);
+  {
+    SessionJournal rewritten(path, /*truncate=*/true, /*sync=*/false);
+    for (const JournalRecord& record : scan.records) {
+      rewritten.append(record.type, record.payload);
+    }
+  }
+
+  RepairSessionConfig config = session_config(5);
+  config.journal_path = path;
+  config.checkpoint_every = 2;
+  RepairSession session = RepairSession::resume(
+      split_structure(), session_property(), std::move(config));
+  EXPECT_EQ(session.resumed_batches(), 3u);
+  EXPECT_FALSE(session.journal_tail_dropped());
+  for (std::size_t i = session.fed_batches(); i < batches.size(); ++i) {
+    session.feed(batches[i]);
+  }
+  EXPECT_EQ(encode_session_report(session.report()), reference_report_bytes());
+}
+
 TEST_F(JournalTest, ResumeWithoutCheckpointsReplaysEverything) {
   const std::string path = temp_path("session_nockpt.tmlj");
   const std::vector<TrajectoryDataset> batches = session_batches();

@@ -280,6 +280,24 @@ std::vector<ParseErrorCase> parse_error_cases() {
        "PRISM parse error at line 3, column 11: expected integer"},
       {"state_range", "dtmc\nmodule m\n  s : [1..3] init 1;\n",
        "PRISM parse error at line 3, column 21: state range must be [0..N]"},
+      // Every state needs a command of at least 16 bytes, so a range the
+      // text cannot fill is refused before the model is sized to it.
+      {"state_range_saturated",
+       "dtmc\nmodule m\n  s : [0..99999999999999999999] init 0;\n"
+       "  [] s=0 -> 1 : (s'=0);\nendmodule\n",
+       "PRISM parse error at line 3, column 40: state range "
+       "[0..9223372036854775807] needs more commands than a 88-byte model "
+       "holds"},
+      {"state_range_beyond_text",
+       "dtmc\nmodule m\n  s : [0..999999999] init 0;\n"
+       "  [] s=0 -> 1 : (s'=0);\nendmodule\n",
+       "PRISM parse error at line 3, column 29: state range [0..999999999] "
+       "needs more commands than a 77-byte model holds"},
+      {"state_range_one_past_text",
+       "dtmc\nmodule m\n  s : [0..4] init 0;\n"
+       "  [] s=0 -> 1 : (s'=0);\nendmodule\n",
+       "PRISM parse error at line 3, column 21: state range [0..4] needs "
+       "more commands than a 69-byte model holds"},
       {"initial_state", "dtmc\nmodule m\n  s : [0..1] init 5;\n",
        "PRISM parse error at line 3, column 21: initial state out of range"},
       {"guard_variable", with_command("  [] t=0 -> 1 : (s'=1);"),

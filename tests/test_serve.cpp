@@ -539,6 +539,17 @@ TEST_F(ServeTest, MalformedRequestsGetTypedErrors) {
   EXPECT_EQ(kind_of(check_request("dtmc\nmodule", "P=? [ F \"goal\" ]", 1)),
             "parse");
   EXPECT_EQ(kind_of(check_request(kDtmcSource, "P=? [ Q ]", 2)), "parse");
+  // A state range the text cannot fill is a parse error, not an attempt
+  // to allocate it (a saturated literal used to escape as length_error).
+  for (const char* range : {"99999999999999999999", "999999999"}) {
+    const std::string source = std::string("dtmc\nmodule m\n  s : [0..") +
+                               range +
+                               "] init 0;\n  [] s=0 -> 1 : (s'=0);\n"
+                               "endmodule\nlabel \"goal\" = (s=0);\n";
+    EXPECT_EQ(kind_of(check_request(source, "P=? [ F \"goal\" ]", 3)),
+              "parse")
+        << range;
+  }
 }
 
 TEST_F(ServeTest, ChecksDtmcAndMdpWithCacheReuse) {
