@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
 #include <string>
 
 #include "src/parametric/state_elimination.hpp"
@@ -158,36 +157,14 @@ StateSet goal_only(const ParametricDtmc& chain, std::size_t n) {
   return set;
 }
 
-/// Heuristic sweep axis: 0 = naive in-order over the whole chain (the
-/// pre-refactor behaviour), 1 = fewest-new-edges whole-chain, 2 = penalty
-/// whole-chain, 3 = penalty + SCC-local (the default).
-EliminationOptions sweep_config(std::int64_t code) {
-  EliminationOptions options;
-  options.scc_local = false;
-  switch (code) {
-    case 0: options.order = EliminationOrder::kInOrder; break;
-    case 1: options.order = EliminationOrder::kFewestNewEdges; break;
-    case 2: options.order = EliminationOrder::kPenalty; break;
-    default:
-      options.order = EliminationOrder::kPenalty;
-      options.scc_local = true;
-      break;
-  }
-  return options;
-}
-
 void BM_GridReward(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const EliminationOptions options = sweep_config(state.range(1));
   const ParametricDtmc chain = grid_chain(n, 4, /*with_trap=*/false);
   const StateSet goal = goal_only(chain, n);
   EliminationStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(expected_total_reward(chain, goal, options,
-                                                   &stats));
+    benchmark::DoNotOptimize(expected_total_reward(chain, goal, {}, &stats));
   }
-  state.SetLabel(std::string(stats.heuristic) +
-                 (options.scc_local ? "+scc" : "+whole"));
   // record_elimination folds across runs, so average back to per-run.
   state.counters["fill_in"] = benchmark::Counter(
       static_cast<double>(stats.fill_in_edges),
@@ -195,33 +172,26 @@ void BM_GridReward(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GridReward)
-    ->ArgNames({"n", "cfg"})
-    ->ArgsProduct({{3, 4, 6, 8}, {0, 1, 2, 3}})
+    ->ArgName("n")
+    ->Arg(3)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GridReachability(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const EliminationOptions options = sweep_config(state.range(1));
   const ParametricDtmc chain = grid_chain(n, 4, /*with_trap=*/true);
   const StateSet goal = goal_only(chain, n);
   EliminationStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reachability_probability(chain, goal, options,
-                                                      &stats));
+    benchmark::DoNotOptimize(
+        reachability_probability(chain, goal, {}, &stats));
   }
-  state.SetLabel(std::string(stats.heuristic) +
-                 (options.scc_local ? "+scc" : "+whole"));
   state.counters["fill_in"] = benchmark::Counter(
       static_cast<double>(stats.fill_in_edges),
       benchmark::Counter::kAvgIterations);
 }
-// The naive in-order sweep is capped at n=4: on the trap variant its factor
-// terms blow up combinatorially (n=6 takes ~9 minutes wall; n=8 is
-// intractable), which is exactly the behaviour the dynamic orders fix.
 BENCHMARK(BM_GridReachability)
-    ->ArgNames({"n", "cfg"})
-    ->ArgsProduct({{3, 4}, {0}})
-    ->ArgsProduct({{3, 4, 6, 8}, {1, 2, 3}})
+    ->ArgName("n")
+    ->Arg(3)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

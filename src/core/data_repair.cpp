@@ -1,6 +1,6 @@
 #include "src/core/data_repair.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "src/checker/check.hpp"
 #include "src/core/model_repair.hpp"
@@ -33,9 +33,13 @@ DataRepairResult data_repair(const Dtmc& structure,
   const std::size_t dim = mle.variables.size();
   TML_REQUIRE(dim > 0, "data_repair: no un-pinned groups to repair");
 
-  // Parametric property function f(p).
-  result.property_function = parametric_property_function(
-      mle.chain, structure, property, config.elimination);
+  // Parametric property function f(p), as the margined constraint f(p) ⋈ b.
+  const RepairConstraint term(
+      property,
+      parametric_property_function(mle.chain, structure, property,
+                                   config.elimination),
+      mle.variables, config.constraint_margin, config.solver);
+  result.property_function = term.function();
   result.function_text =
       result.property_function.to_string(mle.chain.pool().namer());
 
@@ -64,22 +68,6 @@ DataRepairResult data_repair(const Dtmc& structure,
   TML_REQUIRE(effort_weight.size() == dim,
               "data_repair: group bookkeeping mismatch");
 
-  std::vector<RationalFunction> derivatives;
-  derivatives.reserve(dim);
-  for (Var v : mle.variables) {
-    derivatives.push_back(result.property_function.derivative(v));
-  }
-
-  const RationalFunction& f = result.property_function;
-  const Comparison cmp = property.comparison();
-  const double bound = property.bound();
-  // Require at least the solver's feasibility slack so the independent
-  // numeric recheck passes at the constraint boundary.
-  const double margin =
-      std::max(config.constraint_margin,
-               10.0 * config.solver.feasibility_tol * (1.0 + std::abs(bound)));
-  const bool upper = cmp == Comparison::kLess || cmp == Comparison::kLessEqual;
-
   Problem problem;
   problem.dimension = dim;
   problem.objective = [effort_weight,
@@ -99,20 +87,7 @@ DataRepairResult data_repair(const Dtmc& structure,
     }
     return g;
   };
-  problem.constraints.push_back(Constraint{
-      property.to_string(),
-      [&f, bound, margin, upper](std::span<const double> p) {
-        const double value = f.evaluate(p);
-        return upper ? value - (bound - margin) : (bound + margin) - value;
-      },
-      [&derivatives, upper](std::span<const double> p) {
-        std::vector<double> g(derivatives.size());
-        for (std::size_t i = 0; i < derivatives.size(); ++i) {
-          const double d = derivatives[i].evaluate(p);
-          g[i] = upper ? d : -d;
-        }
-        return g;
-      }});
+  problem.constraints.push_back(term.constraint());
   problem.box.lower = lower_box;
   problem.box.upper = upper_box;
 
@@ -123,14 +98,9 @@ DataRepairResult data_repair(const Dtmc& structure,
   result.drop_fractions.clear();
   for (double p : outcome.x) result.drop_fractions.push_back(1.0 - p);
   if (!outcome.x.empty()) {
-    result.achieved = f.evaluate(outcome.x);
-    // Judge feasibility against the actual bound, not the margined
-    // surrogate (see model_repair.cpp).
-    if (compare(result.achieved, cmp, bound)) {
-      result.status = SolveStatus::kOptimal;
-    } else if (result.status == SolveStatus::kOptimal) {
-      result.status = SolveStatus::kInfeasible;
-    }
+    result.achieved = term.evaluate(outcome.x);
+    result.status =
+        judge_repair(outcome.status, term.satisfied_by(result.achieved));
   }
   if (result.status == SolveStatus::kOptimal) {
     result.effort = problem.objective(outcome.x);

@@ -38,8 +38,8 @@ struct DataRepairConfig {
   /// Require the property with this slack.
   double constraint_margin = 0.0;
   SolveOptions solver;
-  /// Ordering/SCC knobs for the parametric elimination that builds f(p).
-  EliminationOptions elimination = default_elimination_options();
+  /// Budget of the parametric elimination that builds f(p).
+  EliminationOptions elimination;
 };
 
 struct DataRepairResult {

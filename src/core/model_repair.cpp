@@ -1,6 +1,7 @@
 #include "src/core/model_repair.hpp"
 
 #include <cmath>
+#include <deque>
 
 #include "src/checker/check.hpp"
 #include "src/checker/reachability.hpp"
@@ -139,11 +140,66 @@ RationalFunction parametric_property_function(
   return expected_total_reward(chain, goal, options);
 }
 
-RationalFunction parametric_property_function(const ParametricDtmc& chain,
-                                              const Dtmc& base,
-                                              const StateFormula& property) {
-  return parametric_property_function(chain, base, property,
-                                      default_elimination_options());
+RepairConstraint::RepairConstraint(const StateFormula& property,
+                                   RationalFunction f,
+                                   std::span<const Var> variables,
+                                   double constraint_margin,
+                                   const SolveOptions& solver)
+    : RepairConstraint(property, NumericFn(), constraint_margin, solver) {
+  f_ = std::move(f);
+  derivatives_.reserve(variables.size());
+  for (Var v : variables) derivatives_.push_back(f_.derivative(v));
+}
+
+RepairConstraint::RepairConstraint(const StateFormula& property,
+                                   NumericFn evaluate,
+                                   double constraint_margin,
+                                   const SolveOptions& solver)
+    : property_(&property),
+      numeric_(std::move(evaluate)),
+      upper_(property.comparison() == Comparison::kLess ||
+             property.comparison() == Comparison::kLessEqual),
+      // The solver accepts violations up to feasibility_tol; require at
+      // least that much slack so the independent numeric recheck passes at
+      // the boundary.
+      margin_(std::max(constraint_margin,
+                       10.0 * solver.feasibility_tol *
+                           (1.0 + std::abs(property.bound())))) {}
+
+double RepairConstraint::evaluate(std::span<const double> x) const {
+  return numeric_ ? numeric_(x) : f_.evaluate(x);
+}
+
+bool RepairConstraint::satisfied_by(double value) const {
+  return compare(value, property_->comparison(), property_->bound());
+}
+
+Constraint RepairConstraint::constraint() const {
+  GradientFn gradient;
+  if (!numeric_) {
+    gradient = [this](std::span<const double> x) {
+      std::vector<double> g(derivatives_.size());
+      for (std::size_t i = 0; i < derivatives_.size(); ++i) {
+        const double d = derivatives_[i].evaluate(x);
+        g[i] = upper_ ? d : -d;
+      }
+      return g;
+    };
+  }
+  return Constraint{
+      property_->to_string(),
+      [this](std::span<const double> x) {
+        const double value = evaluate(x);
+        const double bound = property_->bound();
+        return upper_ ? value - (bound - margin_) : (bound + margin_) - value;
+      },
+      std::move(gradient)};
+}
+
+SolveStatus judge_repair(SolveStatus solver_status, bool satisfied) {
+  if (satisfied) return SolveStatus::kOptimal;
+  return solver_status == SolveStatus::kOptimal ? SolveStatus::kInfeasible
+                                                : solver_status;
 }
 
 namespace {
@@ -161,8 +217,6 @@ std::size_t property_step_bound(const StateFormula& property) {
   return 0;
 }
 
-using NumericFn = std::function<double(std::span<const double>)>;
-
 /// Numeric per-point evaluation of a step-bounded property on the
 /// instantiated chain. The expanded symbolic polynomial of a k-step
 /// iteration has degree ~k and loses all precision for large k; direct
@@ -170,9 +224,9 @@ using NumericFn = std::function<double(std::span<const double>)>;
 /// and parameter-independent, so they are computed once here, not per NLP
 /// iterate. The returned evaluator references `chain`. The instantiated
 /// chain has one choice per row, so the sweeps' objective is immaterial.
-NumericFn bounded_numeric_evaluator(const ParametricDtmc& chain,
-                                    const Dtmc& base,
-                                    const StateFormula& property) {
+RepairConstraint::NumericFn bounded_numeric_evaluator(
+    const ParametricDtmc& chain, const Dtmc& base,
+    const StateFormula& property) {
   if (property.kind() != StateFormula::Kind::kProb) {
     const std::size_t horizon = property.reward_horizon();
     return [&chain, horizon](std::span<const double> x) {
@@ -202,117 +256,13 @@ NumericFn bounded_numeric_evaluator(const ParametricDtmc& chain,
 /// it Model Repair evaluates the property numerically per NLP iterate.
 constexpr std::size_t kMaxSymbolicStepBound = 24;
 
-}  // namespace
-
-ModelRepairResult model_repair(const PerturbationScheme& scheme,
-                               const StateFormula& property,
-                               const ModelRepairConfig& config) {
-  require_repairable(property);
-  ModelRepairResult result;
-  result.variable_names = scheme.variable_names();
-  result.comparison = property.comparison();
-  result.bound = property.bound();
-
-  const PerturbationScheme::Built built =
-      scheme.build(config.probability_margin);
-
-  const bool numeric_mode =
-      property_step_bound(property) > kMaxSymbolicStepBound;
-
-  std::vector<RationalFunction> derivatives;
-  std::function<double(std::span<const double>)> evaluate;
-  if (numeric_mode) {
-    result.function_text =
-        "<numeric " + std::to_string(property_step_bound(property)) +
-        "-step evaluation>";
-    evaluate =
-        bounded_numeric_evaluator(built.chain, scheme.base(), property);
-  } else {
-    result.property_function = parametric_property_function(
-        built.chain, scheme.base(), property, config.elimination);
-    result.function_text =
-        result.property_function.to_string(built.chain.pool().namer());
-    derivatives.reserve(scheme.num_variables());
-    for (Var v : built.variables) {
-      derivatives.push_back(result.property_function.derivative(v));
-    }
-    const RationalFunction* f = &result.property_function;
-    evaluate = [f](std::span<const double> x) { return f->evaluate(x); };
-  }
-
-  const std::size_t dim = scheme.num_variables();
-  const Comparison cmp = property.comparison();
-  const double bound = property.bound();
-  // The solver accepts violations up to feasibility_tol; require at least
-  // that much slack so the independent numeric recheck passes at the
-  // boundary.
-  const double margin =
-      std::max(config.constraint_margin,
-               10.0 * config.solver.feasibility_tol * (1.0 + std::abs(bound)));
-
-  // Constraint in g(x) <= 0 form.
-  const bool upper = cmp == Comparison::kLess || cmp == Comparison::kLessEqual;
-  ScalarFn constraint_value = [&evaluate, bound, margin, upper](
-                                  std::span<const double> x) {
-    const double value = evaluate(x);
-    return upper ? value - (bound - margin) : (bound + margin) - value;
-  };
-  GradientFn constraint_gradient;
-  if (!numeric_mode) {
-    constraint_gradient = [&derivatives, upper](std::span<const double> x) {
-      std::vector<double> g(derivatives.size());
-      for (std::size_t i = 0; i < derivatives.size(); ++i) {
-        const double d = derivatives[i].evaluate(x);
-        g[i] = upper ? d : -d;
-      }
-      return g;
-    };
-  }
-
-  Problem problem;
-  problem.dimension = dim;
-  problem.objective = make_cost(config, dim);
-  problem.objective_gradient = make_cost_gradient(config, dim);
-  problem.constraints.push_back(Constraint{
-      property.to_string(), std::move(constraint_value),
-      std::move(constraint_gradient)});
-  problem.box.lower = built.lower;
-  problem.box.upper = built.upper;
-
-  const SolveOutcome outcome = solve(problem, config.solver);
-  result.status = outcome.status;
-  result.variable_values = outcome.x;
-  result.best_violation = outcome.max_violation;
-  if (!outcome.x.empty()) {
-    result.achieved = evaluate(outcome.x);
-    // The margin exists only to absorb solver slop; feasibility is judged
-    // against the *actual* property bound (a penalty-method iterate may sit
-    // just outside the margined surrogate yet safely inside the bound).
-    if (compare(result.achieved, cmp, bound)) {
-      result.status = SolveStatus::kOptimal;
-    } else if (result.status == SolveStatus::kOptimal) {
-      result.status = SolveStatus::kInfeasible;
-    }
-  }
-  if (result.status == SolveStatus::kOptimal) {
-    result.cost = problem.objective(outcome.x);
-    result.repaired = scheme.apply(outcome.x);
-    result.recheck_passed = check(*result.repaired, property).satisfied;
-    result.epsilon_bisimilarity = scheme.max_perturbation(outcome.x);
-  }
-  return result;
-}
-
-EnvelopeRepairResult model_repair_envelope(
+/// The one NLP of Model Repair: one margined constraint per property,
+/// solved for the cheapest perturbation, judged against the real bounds and
+/// re-checked numerically on the repaired chain.
+EnvelopeRepairResult repair_properties(
     const PerturbationScheme& scheme,
-    const std::vector<StateFormulaPtr>& properties,
+    const std::vector<const StateFormula*>& properties,
     const ModelRepairConfig& config) {
-  TML_REQUIRE(!properties.empty(), "model_repair_envelope: no properties");
-  for (const StateFormulaPtr& p : properties) {
-    TML_REQUIRE(p != nullptr, "model_repair_envelope: null property");
-    require_repairable(*p);
-  }
-
   EnvelopeRepairResult result;
   ModelRepairResult& repair = result.repair;
   repair.variable_names = scheme.variable_names();
@@ -321,74 +271,35 @@ EnvelopeRepairResult model_repair_envelope(
 
   const PerturbationScheme::Built built =
       scheme.build(config.probability_margin);
-  const std::size_t dim = scheme.num_variables();
-
-  // One evaluator (symbolic or numeric) per property.
-  struct PropertyTerm {
-    const StateFormula* property;
-    RationalFunction f;
-    std::vector<RationalFunction> derivatives;
-    NumericFn numeric;  ///< set when the step bound is too deep to expand
-    bool upper = false;
-    double bound = 0.0;
-    double margin = 0.0;
-  };
-  std::vector<PropertyTerm> terms(properties.size());
-  for (std::size_t k = 0; k < properties.size(); ++k) {
-    PropertyTerm& term = terms[k];
-    term.property = properties[k].get();
-    if (property_step_bound(*term.property) > kMaxSymbolicStepBound) {
-      term.numeric = bounded_numeric_evaluator(built.chain, scheme.base(),
-                                               *term.property);
+  std::deque<RepairConstraint> terms;  // stable: constraints point into it
+  for (const StateFormula* property : properties) {
+    if (property_step_bound(*property) > kMaxSymbolicStepBound) {
+      terms.emplace_back(
+          *property,
+          bounded_numeric_evaluator(built.chain, scheme.base(), *property),
+          config.constraint_margin, config.solver);
     } else {
-      term.f = parametric_property_function(built.chain, scheme.base(),
-                                            *term.property, config.elimination);
-      for (Var v : built.variables) {
-        term.derivatives.push_back(term.f.derivative(v));
-      }
+      terms.emplace_back(
+          *property,
+          parametric_property_function(built.chain, scheme.base(), *property,
+                                       config.elimination),
+          built.variables, config.constraint_margin, config.solver);
     }
-    const Comparison cmp = term.property->comparison();
-    term.upper = cmp == Comparison::kLess || cmp == Comparison::kLessEqual;
-    term.bound = term.property->bound();
-    term.margin = std::max(
-        config.constraint_margin,
-        10.0 * config.solver.feasibility_tol * (1.0 + std::abs(term.bound)));
   }
-  repair.property_function = terms[0].f;
+  const std::size_t first_steps = property_step_bound(*properties[0]);
+  repair.property_function = terms[0].function();
   repair.function_text =
-      terms[0].numeric ? "<numeric bounded evaluation>"
-                       : terms[0].f.to_string(built.chain.pool().namer());
+      first_steps > kMaxSymbolicStepBound
+          ? "<numeric " + std::to_string(first_steps) + "-step evaluation>"
+          : repair.property_function.to_string(built.chain.pool().namer());
 
-  auto evaluate_term = [&](const PropertyTerm& term,
-                           std::span<const double> x) {
-    return term.numeric ? term.numeric(x) : term.f.evaluate(x);
-  };
-
+  const std::size_t dim = scheme.num_variables();
   Problem problem;
   problem.dimension = dim;
   problem.objective = make_cost(config, dim);
   problem.objective_gradient = make_cost_gradient(config, dim);
-  for (PropertyTerm& term : terms) {
-    const PropertyTerm* t = &term;
-    GradientFn gradient;
-    if (!term.numeric) {
-      gradient = [t](std::span<const double> x) {
-        std::vector<double> g(t->derivatives.size());
-        for (std::size_t i = 0; i < t->derivatives.size(); ++i) {
-          const double d = t->derivatives[i].evaluate(x);
-          g[i] = t->upper ? d : -d;
-        }
-        return g;
-      };
-    }
-    problem.constraints.push_back(Constraint{
-        term.property->to_string(),
-        [t, &evaluate_term](std::span<const double> x) {
-          const double value = evaluate_term(*t, x);
-          return t->upper ? value - (t->bound - t->margin)
-                          : (t->bound + t->margin) - value;
-        },
-        std::move(gradient)});
+  for (const RepairConstraint& term : terms) {
+    problem.constraints.push_back(term.constraint());
   }
   problem.box.lower = built.lower;
   problem.box.upper = built.upper;
@@ -399,31 +310,53 @@ EnvelopeRepairResult model_repair_envelope(
   repair.best_violation = outcome.max_violation;
   if (!outcome.x.empty()) {
     bool all_satisfied = true;
-    for (const PropertyTerm& term : terms) {
+    for (const RepairConstraint& term : terms) {
       EnvelopeEntry entry;
-      entry.property_text = term.property->to_string();
-      entry.achieved = evaluate_term(term, outcome.x);
-      entry.bound = term.bound;
-      entry.comparison = term.property->comparison();
-      entry.satisfied =
-          compare(entry.achieved, entry.comparison, entry.bound);
+      entry.property_text = term.property().to_string();
+      entry.achieved = term.evaluate(outcome.x);
+      entry.bound = term.property().bound();
+      entry.comparison = term.property().comparison();
+      entry.satisfied = term.satisfied_by(entry.achieved);
       all_satisfied = all_satisfied && entry.satisfied;
       result.per_property.push_back(std::move(entry));
     }
     repair.achieved = result.per_property[0].achieved;
-    repair.status =
-        all_satisfied ? SolveStatus::kOptimal : SolveStatus::kInfeasible;
+    repair.status = judge_repair(outcome.status, all_satisfied);
   }
   if (repair.status == SolveStatus::kOptimal) {
     repair.cost = problem.objective(outcome.x);
     repair.repaired = scheme.apply(outcome.x);
     repair.recheck_passed = true;
-    for (const StateFormulaPtr& p : properties) {
-      repair.recheck_passed =
-          repair.recheck_passed && check(*repair.repaired, *p).satisfied;
+    for (const StateFormula* property : properties) {
+      repair.recheck_passed = repair.recheck_passed &&
+                              check(*repair.repaired, *property).satisfied;
     }
+    repair.epsilon_bisimilarity = scheme.max_perturbation(outcome.x);
   }
   return result;
+}
+
+}  // namespace
+
+ModelRepairResult model_repair(const PerturbationScheme& scheme,
+                               const StateFormula& property,
+                               const ModelRepairConfig& config) {
+  require_repairable(property);
+  return repair_properties(scheme, {&property}, config).repair;
+}
+
+EnvelopeRepairResult model_repair_envelope(
+    const PerturbationScheme& scheme,
+    const std::vector<StateFormulaPtr>& properties,
+    const ModelRepairConfig& config) {
+  TML_REQUIRE(!properties.empty(), "model_repair_envelope: no properties");
+  std::vector<const StateFormula*> raw;
+  for (const StateFormulaPtr& p : properties) {
+    TML_REQUIRE(p != nullptr, "model_repair_envelope: null property");
+    require_repairable(*p);
+    raw.push_back(p.get());
+  }
+  return repair_properties(scheme, raw, config);
 }
 
 namespace {

@@ -11,6 +11,10 @@
 //   3. the repaired chain is re-checked with the numeric checker as an
 //      independent certificate.
 //
+// A single property is the one-property case of the safety envelope: both
+// entry points build, solve and judge the NLP in one place, and Data Repair
+// (data_repair.hpp) states its constraint through the same RepairConstraint.
+//
 // Supported property shapes (the fragment with closed-form parametric
 // solutions): P⋈b[F φ_t], P⋈b[φ_1 U φ_2], R⋈b[F φ_t], with label-defined
 // (parameter-independent) operand sets.
@@ -23,7 +27,9 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/core/perturbation.hpp"
 #include "src/logic/pctl.hpp"
@@ -49,8 +55,8 @@ struct ModelRepairConfig {
   double probability_margin = 1e-6;  ///< Eq. 6 strictness: probs in (m, 1−m)
   double constraint_margin = 0.0;    ///< require f ⋈ b with this slack
   SolveOptions solver;
-  /// Ordering/SCC knobs for the parametric elimination that builds f(v).
-  EliminationOptions elimination = default_elimination_options();
+  /// Budget of the parametric elimination that builds f(v).
+  EliminationOptions elimination;
 };
 
 struct ModelRepairResult {
@@ -80,7 +86,8 @@ struct ModelRepairResult {
   bool feasible() const { return status == SolveStatus::kOptimal; }
 };
 
-/// Repairs a DTMC against a boolean P/R property.
+/// Repairs a DTMC against a boolean P/R property: the one-property case of
+/// model_repair_envelope.
 ModelRepairResult model_repair(const PerturbationScheme& scheme,
                                const StateFormula& property,
                                const ModelRepairConfig& config = {});
@@ -110,14 +117,56 @@ EnvelopeRepairResult model_repair_envelope(
     const ModelRepairConfig& config = {});
 
 /// Computes only the parametric property function f(v) (exposed for
-/// inspection / the benches). The options select the elimination ordering
-/// (and carry the budget for the bounded symbolic sweeps).
+/// inspection / the benches). The options carry the elimination's budget
+/// (also used by the bounded symbolic sweeps).
 RationalFunction parametric_property_function(
     const ParametricDtmc& chain, const Dtmc& base, const StateFormula& property,
     const EliminationOptions& options);
-RationalFunction parametric_property_function(const ParametricDtmc& chain,
-                                              const Dtmc& base,
-                                              const StateFormula& property);
+
+/// One repair property as an NLP constraint (Eqs. 5 and 15): f(x) ⋈ b in
+/// g(x) ≤ 0 form, tightened by a margin so the independent re-check passes
+/// at the constraint boundary. f is either the closed form from parametric
+/// model checking (with its gradient) or a numeric per-iterate evaluator.
+class RepairConstraint {
+ public:
+  using NumericFn = std::function<double(std::span<const double>)>;
+
+  /// Symbolic: f and its partial derivatives in `variables`.
+  RepairConstraint(const StateFormula& property, RationalFunction f,
+                   std::span<const Var> variables, double constraint_margin,
+                   const SolveOptions& solver);
+  /// Numeric: the solver differentiates `evaluate` by finite differences.
+  RepairConstraint(const StateFormula& property, NumericFn evaluate,
+                   double constraint_margin, const SolveOptions& solver);
+  // constraint() hands out callbacks that hold `this`.
+  RepairConstraint(const RepairConstraint&) = delete;
+  RepairConstraint& operator=(const RepairConstraint&) = delete;
+
+  const StateFormula& property() const { return *property_; }
+  /// The closed form (zero for a numeric constraint).
+  const RationalFunction& function() const { return f_; }
+  double evaluate(std::span<const double> x) const;
+  /// Whether `value` meets the property's real bound. The margin exists
+  /// only to absorb solver slop: a penalty-method iterate may sit just
+  /// outside the margined surrogate yet safely inside the bound.
+  bool satisfied_by(double value) const;
+  /// The margined constraint. It refers to *this, which must outlive it.
+  Constraint constraint() const;
+
+ private:
+  const StateFormula* property_;
+  RationalFunction f_;
+  std::vector<RationalFunction> derivatives_;
+  NumericFn numeric_;
+  bool upper_;
+  double margin_;
+};
+
+/// The status of a repair whose solver stopped with `solver_status` at a
+/// point that does (`satisfied`) or does not meet every real bound: a point
+/// inside the bounds is a repair whatever the solver said, a claimed optimum
+/// outside them is infeasible, and any other stop is reported as it is.
+SolveStatus judge_repair(SolveStatus solver_status, bool satisfied);
 
 /// MDP Model Repair via policy fixing. `rebuild` must construct the full
 /// MDP at concrete variable values (the same perturbation semantics as

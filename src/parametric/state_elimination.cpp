@@ -14,8 +14,6 @@ namespace tml {
 
 namespace {
 
-EliminationOptions g_default_options{};
-
 /// Folds a run's local EliminationStats into the caller-provided struct (if
 /// any) and into the global registry. The local struct is always populated so
 /// the registry metrics don't depend on whether the caller asked for stats.
@@ -29,7 +27,6 @@ void record_elimination(const EliminationStats& local, EliminationStats* out) {
     out->scc_blocks += local.scc_blocks;
     out->pool_hits += local.pool_hits;
     out->pool_misses += local.pool_misses;
-    out->heuristic = local.heuristic;
   }
   static stats::Counter& c_runs = stats::counter("parametric.eliminations");
   static stats::Counter& c_states =
@@ -182,21 +179,20 @@ void track_complexity(EliminationStats* stats, const RationalFunction& f) {
 }
 
 /// Total factor count over a state's row functions and value — the symbolic
-/// weight term of the kPenalty heuristic.
+/// weight term of the elimination penalty.
 std::uint64_t symbolic_mass(const Workspace& ws, StateId s) {
   std::uint64_t mass = ws.value[s].num_factors();
   for (const RationalFunction& fn : ws.rows[s].fn) mass += fn.num_factors();
   return mass;
 }
 
-/// Priority of eliminating `s` next (lower is better).
-std::uint64_t penalty_of(const Workspace& ws, StateId s,
-                         EliminationOrder order) {
+/// Priority of eliminating `s` next (lower is better): the potential new
+/// edges |preds|·|succs| (self-loops excluded) weighted by the symbolic row
+/// mass, so structurally cheap pivots with huge functions are deferred, with
+/// the mass alone as a tie-break among zero-fill states.
+std::uint64_t penalty_of(const Workspace& ws, StateId s) {
   const std::uint64_t fill = static_cast<std::uint64_t>(ws.in_degree(s)) *
                              static_cast<std::uint64_t>(ws.out_degree(s));
-  if (order == EliminationOrder::kFewestNewEdges) return fill;
-  // kPenalty: fill weighted by symbolic row mass, with the mass alone as a
-  // tie-break among zero-fill states.
   const std::uint64_t mass = symbolic_mass(ws, s);
   return fill * (1 + mass) + mass;
 }
@@ -254,32 +250,21 @@ void eliminate_state(Workspace& ws, StateId s, EliminationStats* stats) {
   if (stats != nullptr) ++stats->states_eliminated;
 }
 
-/// Eliminates every alive state in `candidates` in the order selected by
-/// `options.order`. The dynamic orders run over a lazily revalidated
-/// min-priority queue: entries are (penalty, state) pairs; a popped entry
-/// whose stored penalty no longer matches the current one is re-pushed with
-/// the fresh penalty instead of being acted on, and after each elimination
-/// the states whose rows changed are re-pushed eagerly so the queue head
-/// stays accurate.
+/// Eliminates every alive state in `candidates`, lowest penalty first, over
+/// a lazily revalidated min-priority queue: entries are (penalty, state)
+/// pairs; a popped entry whose stored penalty no longer matches the current
+/// one is re-pushed with the fresh penalty instead of being acted on, and
+/// after each elimination the states whose rows changed are re-pushed
+/// eagerly so the queue head stays accurate.
 void eliminate_candidates(Workspace& ws, const std::vector<StateId>& candidates,
-                          const EliminationOptions& options,
                           EliminationStats* stats, BudgetTracker& tracker) {
-  if (options.order == EliminationOrder::kInOrder) {
-    for (StateId s : candidates) {
-      if (!ws.alive[s]) continue;
-      if (!tracker.tick()) tracker.require_ok("state elimination");
-      eliminate_state(ws, s, stats);
-    }
-    return;
-  }
-
   using Entry = std::pair<std::uint64_t, StateId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
   std::vector<char> in_set(ws.rows.size(), 0);
   for (StateId s : candidates) {
     if (!ws.alive[s]) continue;
     in_set[s] = 1;
-    queue.emplace(penalty_of(ws, s, options.order), s);
+    queue.emplace(penalty_of(ws, s), s);
   }
 
   std::vector<StateId> affected;
@@ -287,7 +272,7 @@ void eliminate_candidates(Workspace& ws, const std::vector<StateId>& candidates,
     const auto [pen, s] = queue.top();
     queue.pop();
     if (!ws.alive[s]) continue;
-    const std::uint64_t current = penalty_of(ws, s, options.order);
+    const std::uint64_t current = penalty_of(ws, s);
     if (current != pen) {
       queue.emplace(current, s);  // stale entry; revalidate lazily
       continue;
@@ -305,7 +290,7 @@ void eliminate_candidates(Workspace& ws, const std::vector<StateId>& candidates,
     eliminate_state(ws, s, stats);
 
     for (StateId u : affected) {
-      if (ws.alive[u]) queue.emplace(penalty_of(ws, u, options.order), u);
+      if (ws.alive[u]) queue.emplace(penalty_of(ws, u), u);
     }
   }
 }
@@ -347,37 +332,25 @@ std::vector<std::vector<StateId>> scc_candidate_blocks(const Workspace& ws,
     for (StateId s : scc.block(b)) {
       if (ws.alive[s] && s != init) candidates.push_back(s);
     }
-    if (!candidates.empty()) {
-      std::sort(candidates.begin(), candidates.end());
-      blocks.push_back(std::move(candidates));
-    }
+    if (!candidates.empty()) blocks.push_back(std::move(candidates));
   }
   return blocks;
 }
 
-/// Eliminates every alive state except `init` under `options`, then closes
+/// Eliminates every alive state except `init` block by block, then closes
 /// the initial state's own loop: x_init = r'(init) / (1 − P'(init, init)).
 RationalFunction eliminate_all(Workspace& ws, StateId init,
-                               const EliminationOptions& options,
                                EliminationStats* stats,
                                BudgetTracker& tracker) {
-  if (options.scc_local) {
-    // Blocks come in dependency order (block 0 most downstream), so by the
-    // time a block runs every state it can reach outside the block — except
-    // the never-eliminated init — is already gone, and all fill-in stays
-    // block-local.
-    const std::vector<std::vector<StateId>> blocks =
-        scc_candidate_blocks(ws, init);
-    if (stats != nullptr) stats->scc_blocks = blocks.size();
-    for (const std::vector<StateId>& block : blocks) {
-      eliminate_candidates(ws, block, options, stats, tracker);
-    }
-  } else {
-    std::vector<StateId> candidates;
-    for (StateId s = 0; s < ws.rows.size(); ++s) {
-      if (ws.alive[s] && s != init) candidates.push_back(s);
-    }
-    eliminate_candidates(ws, candidates, options, stats, tracker);
+  // Blocks come in dependency order (block 0 most downstream), so by the
+  // time a block runs every state it can reach outside the block — except
+  // the never-eliminated init — is already gone, and all fill-in stays
+  // block-local.
+  const std::vector<std::vector<StateId>> blocks =
+      scc_candidate_blocks(ws, init);
+  if (stats != nullptr) stats->scc_blocks = blocks.size();
+  for (const std::vector<StateId>& block : blocks) {
+    eliminate_candidates(ws, block, stats, tracker);
   }
   if (stats != nullptr) stats->fill_in_edges = ws.fill_in;
 
@@ -390,13 +363,12 @@ RationalFunction eliminate_all(Workspace& ws, StateId init,
   return ws.value[init] * denom.inverse();
 }
 
-/// Shared tail of both entry points: stats bookkeeping (heuristic name,
-/// subterm-pool hit/miss deltas), budget tracking, elimination, registry.
+/// Shared tail of both entry points: stats bookkeeping (subterm-pool
+/// hit/miss deltas), budget tracking, elimination, registry.
 RationalFunction run_elimination(Workspace& ws, StateId init,
                                  const EliminationOptions& options,
                                  EliminationStats* stats) {
   EliminationStats local;
-  local.heuristic = to_string(options.order);
   EliminationStats* track =
       (stats != nullptr || stats::enabled()) ? &local : nullptr;
   SubtermPool& pool = SubtermPool::instance();
@@ -404,7 +376,7 @@ RationalFunction run_elimination(Workspace& ws, StateId init,
   const std::uint64_t misses_before = pool.misses();
   BudgetTracker tracker(options.budget != nullptr ? *options.budget
                                                   : default_budget());
-  RationalFunction result = eliminate_all(ws, init, options, track, tracker);
+  RationalFunction result = eliminate_all(ws, init, track, tracker);
   if (track != nullptr) {
     local.pool_hits = pool.hits() - hits_before;
     local.pool_misses = pool.misses() - misses_before;
@@ -414,22 +386,6 @@ RationalFunction run_elimination(Workspace& ws, StateId init,
 }
 
 }  // namespace
-
-const char* to_string(EliminationOrder order) {
-  switch (order) {
-    case EliminationOrder::kInOrder: return "in-order";
-    case EliminationOrder::kFewestNewEdges: return "fewest-new-edges";
-    case EliminationOrder::kPenalty: return "penalty";
-  }
-  return "unknown";
-}
-
-EliminationOptions default_elimination_options() { return g_default_options; }
-
-void set_default_elimination_options(EliminationOptions options) {
-  options.budget = nullptr;  // defaults never carry a budget pointer
-  g_default_options = options;
-}
 
 RationalFunction reachability_probability(const ParametricDtmc& chain,
                                           const StateSet& targets,
@@ -467,15 +423,6 @@ RationalFunction reachability_probability(const ParametricDtmc& chain,
   }
   ws.fill_in = 0;  // construction edges are not fill-in
   return run_elimination(ws, init, options, stats);
-}
-
-RationalFunction reachability_probability(const ParametricDtmc& chain,
-                                          const StateSet& targets,
-                                          EliminationStats* stats,
-                                          const Budget* budget) {
-  EliminationOptions options = default_elimination_options();
-  options.budget = budget;
-  return reachability_probability(chain, targets, options, stats);
 }
 
 RationalFunction expected_total_reward(const ParametricDtmc& chain,
@@ -517,15 +464,6 @@ RationalFunction expected_total_reward(const ParametricDtmc& chain,
   }
   ws.fill_in = 0;  // construction edges are not fill-in
   return run_elimination(ws, init, options, stats);
-}
-
-RationalFunction expected_total_reward(const ParametricDtmc& chain,
-                                       const StateSet& targets,
-                                       EliminationStats* stats,
-                                       const Budget* budget) {
-  EliminationOptions options = default_elimination_options();
-  options.budget = budget;
-  return expected_total_reward(chain, targets, options, stats);
 }
 
 }  // namespace tml

@@ -19,13 +19,13 @@
 //
 // The *order* in which interior states are eliminated does not change the
 // answer but dominates the cost: a bad order fills the working graph with
-// dense rows of large rational functions. EliminationOptions selects the
-// ordering heuristic (see EliminationOrder) and whether elimination runs
+// dense rows of large rational functions. Elimination therefore runs
 // SCC-locally — the support graph is condensed into topologically ordered
 // blocks (CompiledModel::scc()) and each block is fully eliminated before
 // any block upstream of it, so fill-in edges stay inside the current block
-// (plus the never-eliminated initial state) instead of smearing across the
-// whole chain.
+// (plus the never-eliminated initial state) — and inside a block it picks
+// the state with the lowest fill × symbolic-mass penalty from a lazily
+// revalidated priority queue (Storm's dynamic-penalty order).
 //
 // Preconditions (checked structurally on the transition support — valid in
 // the repair feasible region where present transitions keep positive
@@ -44,45 +44,13 @@
 
 namespace tml {
 
-/// Pluggable elimination-ordering heuristics.
-enum class EliminationOrder : std::uint8_t {
-  /// Eliminate in ascending state id — the naive reference order. Kept for
-  /// back-compat and as the baseline the differential tests and perf benches
-  /// compare against.
-  kInOrder,
-  /// Dynamic minimum fill-in estimate: always eliminate the state with the
-  /// fewest potential new edges |preds|·|succs| (self-loops excluded),
-  /// maintained over a lazily revalidated priority queue.
-  kFewestNewEdges,
-  /// Like kFewestNewEdges but the fill estimate is weighted by the symbolic
-  /// mass of the state's row (factor counts of its rational functions), so
-  /// structurally cheap pivots with huge functions are deferred. This is the
-  /// default and mirrors Storm's dynamic-penalty state elimination.
-  kPenalty,
-};
-
-/// Stable lowercase name of an ordering heuristic ("in-order", ...).
-const char* to_string(EliminationOrder order);
-
-/// Knobs for one elimination run. Default-constructed options give the
-/// library default: penalty-ordered, SCC-local elimination.
+/// Knobs for one elimination run.
 struct EliminationOptions {
-  EliminationOrder order = EliminationOrder::kPenalty;
-  /// Condense the support graph and eliminate block-by-block in dependency
-  /// order (most-downstream block first) instead of over the whole chain.
-  bool scc_local = true;
   /// Budget polled once per eliminated state; nullptr = default_budget().
   /// On exhaustion the run throws the typed BudgetExhausted error — a
   /// half-finished elimination is not a usable partial answer.
   const Budget* budget = nullptr;
 };
-
-/// Process-wide default used by the entry points that don't take explicit
-/// options (and by default-constructed repair configs). The stored default
-/// never carries a budget pointer. Not thread-safe, like the other
-/// process-wide default (set_default_budget).
-EliminationOptions default_elimination_options();
-void set_default_elimination_options(EliminationOptions options);
 
 /// Statistics from an elimination run (exposed for the perf benches and the
 /// stats registry; see parametric.* entries in src/common/stats.cpp).
@@ -94,32 +62,21 @@ struct EliminationStats {
   /// on the factored representation, never by expanding the facade.
   std::size_t max_terms_seen = 0;
   /// New (u, t) edges created by folding eliminated states into their
-  /// predecessors — the fill-in the ordering heuristics try to minimize.
+  /// predecessors — the fill-in the elimination order tries to minimize.
   std::size_t fill_in_edges = 0;
-  /// Number of SCC blocks that contained at least one eliminable state
-  /// (0 when scc_local was off).
+  /// Number of SCC blocks that contained at least one eliminable state.
   std::size_t scc_blocks = 0;
   /// SubtermPool hit/miss deltas over the run — how much of the symbolic
   /// arithmetic was shared-subterm reuse vs. fresh interning.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Name of the ordering heuristic that ran (to_string(options.order)).
-  const char* heuristic = "";
 };
 
 /// Probability of eventually reaching `targets` from the initial state, as
 /// a rational function of the chain's parameters.
-RationalFunction reachability_probability(const ParametricDtmc& chain,
-                                          const StateSet& targets,
-                                          const EliminationOptions& options,
-                                          EliminationStats* stats = nullptr);
-
-/// Back-compat overload: runs with default_elimination_options(), with the
-/// budget (nullptr = default_budget()) folded into the options.
-RationalFunction reachability_probability(const ParametricDtmc& chain,
-                                          const StateSet& targets,
-                                          EliminationStats* stats = nullptr,
-                                          const Budget* budget = nullptr);
+RationalFunction reachability_probability(
+    const ParametricDtmc& chain, const StateSet& targets,
+    const EliminationOptions& options = {}, EliminationStats* stats = nullptr);
 
 /// Expected total reward accumulated before reaching `targets` from the
 /// initial state (targets pinned to 0), as a rational function. Throws
@@ -127,14 +84,7 @@ RationalFunction reachability_probability(const ParametricDtmc& chain,
 /// support graph (the expectation would be infinite).
 RationalFunction expected_total_reward(const ParametricDtmc& chain,
                                        const StateSet& targets,
-                                       const EliminationOptions& options,
+                                       const EliminationOptions& options = {},
                                        EliminationStats* stats = nullptr);
-
-/// Back-compat overload: runs with default_elimination_options(), with the
-/// budget (nullptr = default_budget()) folded into the options.
-RationalFunction expected_total_reward(const ParametricDtmc& chain,
-                                       const StateSet& targets,
-                                       EliminationStats* stats = nullptr,
-                                       const Budget* budget = nullptr);
 
 }  // namespace tml

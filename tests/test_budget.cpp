@@ -488,9 +488,8 @@ TEST_F(BudgetTest, ParametricEliminationThrowsTyped) {
   StateSet targets(4, false);
   targets[3] = true;
   const Budget expired = expired_deadline();
-  EXPECT_THROW(
-      (void)reachability_probability(chain, targets, nullptr, &expired),
-      BudgetExhausted);
+  EXPECT_THROW((void)reachability_probability(chain, targets, {&expired}),
+               BudgetExhausted);
   // Unbudgeted, the same query succeeds.
   EXPECT_NO_THROW((void)reachability_probability(chain, targets));
 }

@@ -52,6 +52,19 @@ TEST(EnvelopeRepair, SatisfiesBothConstraintsSimultaneously) {
   EXPECT_NEAR(result.repair.variable_values[0], 0.2, 1e-2);
 }
 
+TEST(EnvelopeRepair, CertifiesTheProposition1Bound) {
+  const std::vector<StateFormulaPtr> envelope{
+      parse_pctl("P>=0.5 [ !\"detour\" U \"goal\" ]"),
+      parse_pctl("R<=2.2 [ F \"goal\" ]"),
+  };
+  const PerturbationScheme scheme = detour_scheme(0.5);
+  const EnvelopeRepairResult result = model_repair_envelope(scheme, envelope);
+  ASSERT_TRUE(result.repair.feasible());
+  EXPECT_GT(result.repair.epsilon_bisimilarity, 0.0);
+  EXPECT_EQ(result.repair.epsilon_bisimilarity,
+            scheme.max_perturbation(result.repair.variable_values));
+}
+
 TEST(EnvelopeRepair, TightestConstraintGoverns) {
   const std::vector<StateFormulaPtr> loose_then_tight{
       parse_pctl("P>=0.35 [ !\"detour\" U \"goal\" ]"),  // v >= 0.05

@@ -162,7 +162,7 @@ TEST(StateElimination, UnreachableTargetIsZero) {
 TEST(StateElimination, StatsReported) {
   const ParametricDtmc chain = retry_chain();
   EliminationStats stats;
-  (void)expected_total_reward(chain, goal_set(chain), &stats);
+  (void)expected_total_reward(chain, goal_set(chain), {}, &stats);
   EXPECT_EQ(stats.states_eliminated, 0u);  // only the initial state remains
   EXPECT_GE(stats.max_terms_seen, 0u);
 }

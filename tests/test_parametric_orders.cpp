@@ -1,19 +1,16 @@
-// Order-invariance differential suite for parametric state elimination.
+// Exact-oracle differential suite for parametric state elimination.
 //
-// The elimination order (and SCC-local vs whole-chain scheduling) must not
-// change the computed rational function's *values* — only its cost and
-// intermediate representation. This suite drives every ordering heuristic
-// over seeded random chains from the dyadic generator (tests/oracle.hpp)
-// and requires:
+// Elimination runs one order — the fill × symbolic-mass penalty queue
+// inside SCC-topological blocks — and its closed forms must match the
+// instantiated chain's exact values. This suite drives it over seeded random
+// chains from the dyadic generator (tests/oracle.hpp) and requires:
 //
-//  * all heuristic × scc_local combinations agree pairwise at random
-//    parameter valuations;
-//  * they agree with the exact BigRational reachability oracle on the
-//    instantiated chain at those valuations;
+//  * the function agrees with the exact BigRational reachability oracle on
+//    the instantiated chain at random parameter valuations;
 //  * infeasible reward queries (a reachable state that cannot reach the
-//    target) throw ModelError under EVERY order, not just some;
-//  * SCC-local elimination equals whole-chain elimination (regression for
-//    the block-stitching logic).
+//    target) throw ModelError exactly when the exact reward oracle reports
+//    an infinite expectation;
+//  * block stitching is exact on a ladder of many nontrivial SCCs.
 
 #include <cmath>
 #include <string>
@@ -31,28 +28,6 @@ namespace {
 
 RationalFunction constant(double c) { return RationalFunction(c); }
 RationalFunction var(Var v) { return RationalFunction::variable(v); }
-
-struct NamedConfig {
-  std::string name;
-  EliminationOptions options;
-};
-
-std::vector<NamedConfig> all_configs() {
-  std::vector<NamedConfig> out;
-  for (const EliminationOrder order :
-       {EliminationOrder::kInOrder, EliminationOrder::kFewestNewEdges,
-        EliminationOrder::kPenalty}) {
-    for (const bool scc_local : {false, true}) {
-      EliminationOptions options;
-      options.order = order;
-      options.scc_local = scc_local;
-      out.push_back({std::string(to_string(order)) +
-                         (scc_local ? "+scc" : "+whole"),
-                     options});
-    }
-  }
-  return out;
-}
 
 /// First choice per state of a max_choices=1 random model, as a DTMC.
 Dtmc to_dtmc(const Mdp& mdp) {
@@ -113,10 +88,10 @@ std::vector<double> sample_valuation(Rng& rng,
 }
 
 // ---------------------------------------------------------------------------
-// Pinned closed form: every config recovers P = x·y on the serial chain
+// Pinned closed form: elimination recovers P = x·y on the serial chain
 //   0 →(1/2 + x) 1 →(1/4 + y) goal, with the complements going to a sink.
 
-TEST(EliminationOrders, SerialChainClosedFormAllConfigs) {
+TEST(SccLocalElimination, SerialChainClosedForm) {
   ParametricDtmc chain(4, VariablePool{});
   const Var x = chain.pool().declare("x");
   const Var y = chain.pool().declare("y");
@@ -132,27 +107,22 @@ TEST(EliminationOrders, SerialChainClosedFormAllConfigs) {
   targets[goal] = true;
 
   Rng rng(7);
-  for (const NamedConfig& config : all_configs()) {
-    EliminationStats stats;
-    const RationalFunction f =
-        reachability_probability(chain, targets, config.options, &stats);
-    EXPECT_STREQ(stats.heuristic, to_string(config.options.order));
-    for (int trial = 0; trial < 4; ++trial) {
-      const std::vector<double> pt{rng.uniform(-0.4, 0.4),
-                                   rng.uniform(-0.2, 0.2)};
-      const double expected = (0.5 + pt[0]) * (0.25 + pt[1]);
-      EXPECT_NEAR(f.evaluate(pt), expected, 1e-12) << config.name;
-    }
+  const RationalFunction f = reachability_probability(chain, targets);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<double> pt{rng.uniform(-0.4, 0.4),
+                                 rng.uniform(-0.2, 0.2)};
+    const double expected = (0.5 + pt[0]) * (0.25 + pt[1]);
+    EXPECT_NEAR(f.evaluate(pt), expected, 1e-12);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Seeded random chains: all configs agree pairwise and with the exact
-// BigRational oracle on the instantiated chain.
+// Seeded random chains against the exact BigRational oracle on the
+// instantiated chain.
 
-class OrderInvariance : public ::testing::TestWithParam<int> {};
+class RandomChainOracle : public ::testing::TestWithParam<int> {};
 
-TEST_P(OrderInvariance, ReachabilityAgreesWithExactOracle) {
+TEST_P(RandomChainOracle, ReachabilityAgreesWithExactOracle) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 4242);
   oracle::RandomModelConfig cfg;
   cfg.num_states = 20 + rng.index(10);
@@ -161,32 +131,20 @@ TEST_P(OrderInvariance, ReachabilityAgreesWithExactOracle) {
   const Dtmc base = to_dtmc(generated.mdp);
   ParamChain pc = parametrize(base, generated.targets, 6);
 
-  const std::vector<NamedConfig> configs = all_configs();
-  std::vector<RationalFunction> functions;
-  for (const NamedConfig& config : configs) {
-    functions.push_back(reachability_probability(pc.chain, generated.targets,
-                                                 config.options));
-  }
-
+  const RationalFunction f =
+      reachability_probability(pc.chain, generated.targets);
   for (int trial = 0; trial < 3; ++trial) {
     const std::vector<double> pt = sample_valuation(rng, pc.deltas);
-    const double reference = functions[0].evaluate(pt);
-    for (std::size_t k = 1; k < functions.size(); ++k) {
-      EXPECT_NEAR(functions[k].evaluate(pt), reference,
-                  1e-9 * std::max(1.0, std::abs(reference)))
-          << configs[k].name << " vs " << configs[0].name;
-    }
-    // Exact BigRational oracle on the instantiated chain (single choice per
-    // state, so the objective direction is irrelevant).
+    // Single choice per state, so the objective direction is irrelevant.
     const Dtmc concrete = pc.chain.instantiate(pt);
-    const CompiledModel compiled = compile(concrete);
     const std::vector<BigRational> exact = oracle::exact_reachability(
-        compiled, generated.targets, Objective::kMaximize);
-    EXPECT_NEAR(reference, exact[concrete.initial_state()].to_double(), 1e-7);
+        compile(concrete), generated.targets, Objective::kMaximize);
+    EXPECT_NEAR(f.evaluate(pt), exact[concrete.initial_state()].to_double(),
+                1e-7);
   }
 }
 
-TEST_P(OrderInvariance, RewardAgreesOrThrowsConsistently) {
+TEST_P(RandomChainOracle, RewardAgreesOrThrowsWithTheOracle) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 9000);
   oracle::RandomModelConfig cfg;
   cfg.num_states = 16 + rng.index(8);
@@ -204,56 +162,34 @@ TEST_P(OrderInvariance, RewardAgreesOrThrowsConsistently) {
   }
   ParamChain pc = parametrize(base, generated.targets, 5);
 
-  const std::vector<NamedConfig> configs = all_configs();
-  std::vector<RationalFunction> functions;
-  bool infinite = false;
-  try {
-    functions.push_back(expected_total_reward(pc.chain, generated.targets,
-                                              configs[0].options));
-  } catch (const ModelError&) {
-    infinite = true;
-  }
+  // Every valuation keeps the support, so the base chain decides whether
+  // the expectation is infinite.
+  const bool infinite = !oracle::exact_total_reward(
+      compile(base), generated.targets)[base.initial_state()];
   if (infinite) {
-    // Some reachable state cannot reach the target: EVERY order must agree
-    // on the infinite-reward verdict.
-    for (std::size_t k = 1; k < configs.size(); ++k) {
-      EXPECT_THROW((void)expected_total_reward(pc.chain, generated.targets,
-                                               configs[k].options),
-                   ModelError)
-          << configs[k].name;
-    }
+    EXPECT_THROW(
+        (void)expected_total_reward(pc.chain, generated.targets), ModelError);
     return;
   }
-  for (std::size_t k = 1; k < configs.size(); ++k) {
-    functions.push_back(expected_total_reward(pc.chain, generated.targets,
-                                              configs[k].options));
-  }
-
+  const RationalFunction f = expected_total_reward(pc.chain, generated.targets);
   for (int trial = 0; trial < 3; ++trial) {
     const std::vector<double> pt = sample_valuation(rng, pc.deltas);
-    const double reference = functions[0].evaluate(pt);
-    for (std::size_t k = 1; k < functions.size(); ++k) {
-      EXPECT_NEAR(functions[k].evaluate(pt), reference,
-                  1e-8 * std::max(1.0, std::abs(reference)))
-          << configs[k].name << " vs " << configs[0].name;
-    }
     const Dtmc concrete = pc.chain.instantiate(pt);
     const std::vector<double> numeric =
         dtmc_total_reward(compile(concrete), generated.targets);
-    EXPECT_NEAR(reference, numeric[concrete.initial_state()],
+    EXPECT_NEAR(f.evaluate(pt), numeric[concrete.initial_state()],
                 1e-6 * std::max(1.0, numeric[concrete.initial_state()]));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomChains, OrderInvariance,
+INSTANTIATE_TEST_SUITE_P(RandomChains, RandomChainOracle,
                          ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// SCC-local == whole-chain regression on a chain with many nontrivial SCCs
-// (ladder of 2-state loops), where block-local scheduling actually differs
-// from whole-chain scheduling.
+// Block stitching on a chain with many nontrivial SCCs (ladder of 2-state
+// loops), checked against the exact oracle on the instantiated chain.
 
-TEST(EliminationOrders, SccLocalMatchesWholeChainOnLadder) {
+TEST(SccLocalElimination, LadderMatchesExactOracle) {
   const std::size_t rungs = 6;
   const std::size_t n = 2 * rungs + 1;
   ParametricDtmc chain(n, VariablePool{});
@@ -274,36 +210,33 @@ TEST(EliminationOrders, SccLocalMatchesWholeChainOnLadder) {
   StateSet targets(n, false);
   targets[goal] = true;
 
-  EliminationOptions whole;
-  whole.order = EliminationOrder::kPenalty;
-  whole.scc_local = false;
-  EliminationOptions scc = whole;
-  scc.scc_local = true;
+  EliminationStats stats;
+  const RationalFunction reach =
+      reachability_probability(chain, targets, {}, &stats);
+  const RationalFunction reward = expected_total_reward(chain, targets);
+  EXPECT_GE(stats.scc_blocks, rungs - 1);  // one block per interior loop
 
-  EliminationStats scc_stats;
-  const RationalFunction reach_whole =
-      reachability_probability(chain, targets, whole);
-  const RationalFunction reach_scc =
-      reachability_probability(chain, targets, scc, &scc_stats);
-  const RationalFunction reward_whole =
-      expected_total_reward(chain, targets, whole);
-  const RationalFunction reward_scc =
-      expected_total_reward(chain, targets, scc);
-
-  EXPECT_GE(scc_stats.scc_blocks, rungs - 1);  // one block per interior loop
   Rng rng(11);
   for (int trial = 0; trial < 8; ++trial) {
-    const std::vector<double> pt{rng.uniform(-0.4, 0.4)};
-    EXPECT_NEAR(reach_scc.evaluate(pt), reach_whole.evaluate(pt), 1e-9);
-    const double rw = reward_whole.evaluate(pt);
-    EXPECT_NEAR(reward_scc.evaluate(pt), rw, 1e-9 * std::max(1.0, rw));
+    // Dyadic valuations in [-0.39, 0.39] keep the oracle's rationals small.
+    const std::vector<double> pt{
+        static_cast<double>(static_cast<int>(rng.index(51)) - 25) / 64.0};
+    const CompiledModel concrete = compile(chain.instantiate(pt));
+    const StateId init = concrete.initial_state();
+    const double exact_reach = oracle::exact_reachability(
+        concrete, targets, Objective::kMaximize)[init].to_double();
+    const double exact_reward =
+        oracle::exact_total_reward(concrete, targets)[init]->to_double();
+    EXPECT_NEAR(reach.evaluate(pt), exact_reach, 1e-9);
+    EXPECT_NEAR(reward.evaluate(pt), exact_reward,
+                1e-9 * std::max(1.0, exact_reward));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Stats plumbing and the process-wide default options.
+// Stats plumbing.
 
-TEST(EliminationOrders, StatsCarryHeuristicFillInAndPoolCounters) {
+TEST(SccLocalElimination, StatsCarryFillInAndPoolCounters) {
   ParametricDtmc chain(6, VariablePool{});
   const Var x = chain.pool().declare("x");
   // Leaky diamond with a loop: the two branches reach the goal with
@@ -322,41 +255,11 @@ TEST(EliminationOrders, StatsCarryHeuristicFillInAndPoolCounters) {
   StateSet targets(6, false);
   targets[4] = true;
 
-  EliminationOptions options;
-  options.order = EliminationOrder::kPenalty;
-  options.scc_local = true;
   EliminationStats stats;
-  (void)reachability_probability(chain, targets, options, &stats);
-  EXPECT_STREQ(stats.heuristic, "penalty");
+  (void)reachability_probability(chain, targets, {}, &stats);
   EXPECT_GT(stats.states_eliminated, 0u);
   EXPECT_GE(stats.scc_blocks, 1u);
   EXPECT_GT(stats.pool_hits + stats.pool_misses, 0u);
-}
-
-TEST(EliminationOrders, DefaultOptionsRoundTripAndNeverKeepBudget) {
-  const EliminationOptions saved = default_elimination_options();
-  EXPECT_EQ(saved.order, EliminationOrder::kPenalty);  // library default
-  EXPECT_TRUE(saved.scc_local);
-  EXPECT_EQ(saved.budget, nullptr);
-
-  Budget budget;
-  EliminationOptions custom;
-  custom.order = EliminationOrder::kInOrder;
-  custom.scc_local = false;
-  custom.budget = &budget;  // must NOT be stored as a process default
-  set_default_elimination_options(custom);
-  EXPECT_EQ(default_elimination_options().order, EliminationOrder::kInOrder);
-  EXPECT_FALSE(default_elimination_options().scc_local);
-  EXPECT_EQ(default_elimination_options().budget, nullptr);
-
-  set_default_elimination_options(saved);
-}
-
-TEST(EliminationOrders, OrderNames) {
-  EXPECT_STREQ(to_string(EliminationOrder::kInOrder), "in-order");
-  EXPECT_STREQ(to_string(EliminationOrder::kFewestNewEdges),
-               "fewest-new-edges");
-  EXPECT_STREQ(to_string(EliminationOrder::kPenalty), "penalty");
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // tml_check — command-line PCTL model checker over PRISM-subset files.
 //
 //   tml_check <model.prism> "<pctl formula>" [--counterexample] [--dot]
-//             [--stats] [--quotient]
-//             [--param-order in|penalty|scc] [--timeout-ms N]
+//             [--stats] [--quotient] [--timeout-ms N]
 //             [--session <traj-file>] [--session-pseudocount X]
 //
 // Loads a model written in the explicit single-module PRISM subset
@@ -18,12 +17,6 @@
 //                      state elimination against the exact reachability
 //                      value on an induced DTMC) and prints the full
 //                      counter/timer registry as one JSON object;
-//   --param-order      selects the process-wide parametric state-elimination
-//                      order: `in` (naive ascending-id, whole chain),
-//                      `penalty` (dynamic penalty queue, whole chain), or
-//                      `scc` (default; penalty queue inside SCC-topological
-//                      blocks). Observable in the --stats corroboration pass
-//                      and registry (parametric.* entries).
 //   --quotient         runs strong-bisimulation minimization
 //                      (src/mdp/quotient.hpp) before solving and checks the
 //                      quotient instead; semantically transparent (labels
@@ -105,7 +98,7 @@ namespace {
 int usage() {
   std::cerr << "usage: tml_check <model.prism> \"<pctl formula>\" "
                "[--counterexample] [--dot] [--stats] [--quotient] "
-               "[--param-order in|penalty|scc] [--timeout-ms N] "
+               "[--timeout-ms N] "
                "[--session <traj-file>] [--session-pseudocount X] "
                "[--journal <file>] [--resume] [--checkpoint-every N]\n"
             << "example: tml_check wsn.prism 'Rmin<=40 [ F \"delivered\" ]'\n";
@@ -364,22 +357,6 @@ int main(int argc, char** argv) {
       want_stats = true;
     } else if (flag == "--quotient") {
       want_quotient = true;
-    } else if (flag == "--param-order" && i + 1 < argc) {
-      const std::string order = argv[++i];
-      EliminationOptions options;
-      if (order == "in") {
-        options.order = EliminationOrder::kInOrder;
-        options.scc_local = false;
-      } else if (order == "penalty") {
-        options.order = EliminationOrder::kPenalty;
-        options.scc_local = false;
-      } else if (order == "scc") {
-        options.order = EliminationOrder::kPenalty;
-        options.scc_local = true;
-      } else {
-        return usage();
-      }
-      set_default_elimination_options(options);
     } else if (flag == "--timeout-ms" && i + 1 < argc) {
       timeout_ms = std::strtol(argv[++i], nullptr, 10);
       if (timeout_ms <= 0) return usage();
