@@ -3,8 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/casestudies/generator.hpp"
 #include "src/casestudies/wsn.hpp"
 #include "src/checker/check.hpp"
+#include "src/checker/interval.hpp"
 #include "src/checker/reachability.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/parallel.hpp"
@@ -192,6 +194,28 @@ void BM_BoundedUntilThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedUntilThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
+
+/// Robust Pmax under adversarial nature on check-large's grid-robust
+/// models (40×40 grid robot, hazard 0.05, widened by 0.01), by thread
+/// count. The graph pass pins all but a few dozen of the 1600 states, so
+/// the sweeps stay under the pool's chunk floor.
+void BM_GridRobustThreads(benchmark::State& state) {
+  GeneratorSpec spec;
+  spec.family = GeneratorFamily::kGridRobot;
+  spec.size = 40;
+  spec.seed = 3;
+  spec.hazard_density = 0.05;
+  const Mdp grid = generate_grid_robot(spec);
+  const IntervalMdp widened = IntervalMdp::widen(grid, 0.01);
+  const StateSet goal = grid.states_with_label("goal");
+  SolverOptions options;
+  options.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interval_reachability(
+        widened, goal, Objective::kMaximize, Nature::kAdversarial, options));
+  }
+}
+BENCHMARK(BM_GridRobustThreads)->Arg(1)->Arg(2)->UseRealTime();
 
 /// Unbounded reachability (sound interval iteration) on the leaky grid
 /// family: every value lies strictly inside (0, 1), so the numeric engine

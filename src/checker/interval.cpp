@@ -6,7 +6,9 @@
 #include <string>
 
 #include "src/common/parallel.hpp"
+#include "src/common/stats.hpp"
 #include "src/mdp/bellman.hpp"
+#include "src/mdp/graph.hpp"
 
 namespace tml {
 
@@ -21,7 +23,7 @@ IntervalMdp IntervalMdp::widen(const Mdp& nominal, double radius) {
   for (std::uint32_t c = 0; c < out.nominal_.num_choices(); ++c) {
     const bool singleton = choice_start[c + 1] - choice_start[c] == 1;
     for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-      if (singleton || prob[k] >= 1.0) {
+      if (singleton || prob[k] <= 0.0 || prob[k] >= 1.0) {
         out.lower_[k] = out.upper_[k] = prob[k];
       } else {
         out.lower_[k] = std::max(0.0, prob[k] - radius);
@@ -96,6 +98,32 @@ std::span<const double> resolve_polytope(const PolytopeSlice& box,
   return scratch.p;
 }
 
+namespace {
+
+/// True when every support edge keeps a positive lower bound: then every
+/// distribution nature may pick has exactly the nominal support.
+bool support_is_fixed(const IntervalMdp& mdp) {
+  const auto& prob = mdp.nominal().prob();
+  const auto& lower = mdp.lower();
+  for (std::size_t k = 0; k < prob.size(); ++k) {
+    if (prob[k] > 0.0 && lower[k] <= 0.0) return false;
+  }
+  return true;
+}
+
+/// One driver chunk's polytope scratch on cache lines of its own. Two
+/// threads write their chunks' scratch on every state, and small adjacent
+/// heap blocks share lines: the holder is line-aligned, and each buffer
+/// reserves a line of slack past the widest row, so its live entries never
+/// share a line with another chunk's.
+struct alignas(64) ChunkScratch {
+  PolytopeScratch buf;
+};
+
+constexpr std::size_t kLineSlack = 64 / sizeof(double);
+
+}  // namespace
+
 std::vector<double> interval_reachability(const IntervalMdp& mdp,
                                           const StateSet& targets,
                                           Objective objective, Nature nature,
@@ -112,31 +140,58 @@ std::vector<double> interval_reachability(const IntervalMdp& mdp,
   const bool nature_max =
       nature == Nature::kCooperative ? scheduler_max : !scheduler_max;
 
+  // Qualitative pre-pass. Nature moves mass only along the nominal support
+  // (widen keeps it), so the nominal zero set is robustly 0. When every
+  // support edge keeps a positive lower bound, every nature keeps that
+  // support with probabilities bounded below, so the nominal one set is
+  // robustly 1; otherwise only the targets are pinned to 1.
+  Prob01 sets = reach_prob01(model, targets, objective);
+  if (!support_is_fixed(mdp)) sets.one = targets;
+
   SolveResult result;
   result.values.assign(n, 0.0);
+  std::vector<StateId> unknown;
   for (StateId s = 0; s < n; ++s) {
-    if (targets[s]) result.values[s] = 1.0;
+    if (sets.one[s]) {
+      result.values[s] = 1.0;
+    } else if (!sets.zero[s]) {
+      unknown.push_back(s);
+    }
+  }
+  static stats::Gauge& g_unknown =
+      stats::gauge("checker.robust.unknown_states");
+  g_unknown.set(static_cast<double>(unknown.size()));
+
+  // One scratch per driver chunk (a chunk runs on one thread at a time),
+  // reserved up front, so no sweep allocates.
+  const auto& choice_start = model.choice_start();
+  std::size_t widest = 0;
+  for (std::uint32_t c = 0; c < model.num_choices(); ++c) {
+    widest =
+        std::max<std::size_t>(widest, choice_start[c + 1] - choice_start[c]);
+  }
+  std::vector<ChunkScratch> scratch(
+      chunk_count(0, unknown.size(), kDefaultGrain));
+  for (ChunkScratch& chunk : scratch) {
+    chunk.buf.p.reserve(widest + kLineSlack);
+    chunk.buf.order.reserve(widest + kLineSlack);
   }
 
-  // One scratch per driver chunk (a chunk runs on one thread at a time);
-  // grown in the first sweep, so later sweeps allocate nothing.
-  std::vector<PolytopeScratch> scratch(chunk_count(0, n, kDefaultGrain));
-
   iterate_to_fixpoint(
-      "interval_reachability", options, &result,
+      "interval_reachability", options, &result, unknown.size(),
       [&](std::size_t begin, std::size_t end, std::span<const double> values,
           std::vector<double>& next) {
-        PolytopeScratch& buf = scratch[begin / kDefaultGrain];
+        PolytopeScratch& buf = scratch[begin / kDefaultGrain].buf;
         double local = 0.0;
-        for (StateId s = begin; s < end; ++s) {
-          if (targets[s]) continue;
+        for (std::size_t i = begin; i < end; ++i) {
+          const StateId s = unknown[i];
           next[s] = best_choice(model, s, objective, [&](std::uint32_t c) {
                       const PolytopeSlice box = mdp.polytope(c);
                       const std::span<const double> p =
                           resolve_polytope(box, values, nature_max, buf);
                       double q = 0.0;
-                      for (std::size_t i = 0; i < p.size(); ++i) {
-                        q += p[i] * values[box.targets[i]];
+                      for (std::size_t j = 0; j < p.size(); ++j) {
+                        q += p[j] * values[box.targets[j]];
                       }
                       return q;
                     }).value;

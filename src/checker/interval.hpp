@@ -14,12 +14,19 @@
 //    over its polytope: sort successors by value, give maximal mass to the
 //    best (or worst) ones subject to the box and the sum-to-one budget.
 //
-// It runs on the shared convergence driver, so it honours the budget and
-// `threads` (bitwise identical for every thread count) and has the same
-// NaN guard and fault sites as value iteration. Its values are still the
-// lower iterate stopped on `delta < tolerance`, NOT a certified bracket:
-// that needs an interval prob0/prob1 and end-component handling under
-// nature.
+// A graph pass pins states before any sweep. Nature moves mass only along
+// edges with `upper > 0`, which `widen` keeps to the nominal support, so
+// the nominal prob0 set (`reach_prob01`) is robustly 0. When every support
+// edge also keeps `lower > 0`, every nature keeps that support with
+// probabilities bounded below, so the nominal prob1 set is robustly 1;
+// otherwise only the targets are pinned to 1.
+//
+// The remaining states are swept on the shared convergence driver, so it
+// honours the budget and `threads` (bitwise identical for every thread
+// count) and has the same NaN guard and fault sites as value iteration.
+// Their values are still the lower iterate stopped on `delta < tolerance`,
+// NOT a certified bracket: that needs prob1 for mixed support and
+// end-component handling under nature.
 //
 // The ablate_baselines bench uses it to contrast the two philosophies:
 // interval verification certifies what holds for EVERY model in a
@@ -50,8 +57,8 @@ struct PolytopeSlice {
 /// each choice is { p : lower <= p <= upper, Σ p = 1 }.
 class IntervalMdp {
  public:
-  /// Uniform widening of a nominal model. Transitions with probability 1
-  /// (and singleton rows) stay exact.
+  /// Uniform widening of a nominal model. Transitions with probability 0
+  /// or 1 (and singleton rows) stay exact, so the support never grows.
   static IntervalMdp widen(const Mdp& nominal, double radius);
 
   /// The nominal model; transition k of its CSR columns is boxed by
@@ -85,9 +92,10 @@ enum class Nature {
 ///   opt_{scheduler} opt_{nature} P(F targets),
 /// where the scheduler optimizes `objective` and nature resolves each
 /// choice's polytope per `nature` (adversarial nature opposes the
-/// scheduler's objective). Throws BudgetExhausted when options.budget
-/// stops the sweeps, NumericError on a NaN sweep or (with
-/// throw_on_nonconvergence) when max_iterations run out.
+/// scheduler's objective). Graph-pinned states report exactly 0 or 1; the
+/// `checker.robust.unknown_states` gauge counts the rest. Throws
+/// BudgetExhausted when options.budget stops the sweeps, NumericError on a
+/// NaN sweep or (with throw_on_nonconvergence) when max_iterations run out.
 std::vector<double> interval_reachability(const IntervalMdp& mdp,
                                           const StateSet& targets,
                                           Objective objective, Nature nature,

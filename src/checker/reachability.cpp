@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 
 #include "src/common/fault.hpp"
@@ -15,9 +16,12 @@ namespace tml {
 
 namespace {
 
-void record_bounded_sweeps(std::size_t sweeps) {
+void record_bounded_sweeps(std::size_t sweeps, std::uint64_t state_updates) {
   static stats::Counter& c_sweeps = stats::counter("checker.bounded.sweeps");
+  static stats::Counter& c_updates =
+      stats::counter("checker.bounded.state_updates");
   c_sweeps.add(sweeps);
+  c_updates.add(state_updates);
 }
 
 /// The bounded/cumulative sweeps accept a budget as a trailing pointer
@@ -51,30 +55,89 @@ double reach_step(const CompiledModel& model, StateId s, Objective objective,
   return objective == Objective::kMaximize ? best : std::min(1.0, best);
 }
 
+/// The states a fixed-horizon sweep updates, layer by layer: `order` lists
+/// the states of layer 0, then layer 1, ..., and order[0, layer_end[d])
+/// holds layers 0..d. Sweep k (the (k+1)-th step) updates layers <= k+1.
+struct Frontier {
+  std::vector<StateId> order;
+  std::vector<std::size_t> layer_end;
+
+  std::size_t live(std::size_t k) const {
+    return layer_end[std::min(k + 1, layer_end.size() - 1)];
+  }
+};
+
+/// Every state in one layer: each sweep updates them all.
+Frontier every_state(std::size_t n) {
+  Frontier frontier;
+  frontier.order.resize(n);
+  std::iota(frontier.order.begin(), frontier.order.end(), StateId{0});
+  frontier.layer_end.push_back(n);
+  return frontier;
+}
+
+/// Backward BFS from `goal` through `stay` states over the positive-edge
+/// predecessors, to depth `bound`: layer d holds the states whose shortest
+/// stay-path to goal has d steps, sorted by id. A state outside layers
+/// 0..k has value exactly 0 after k steps of bounded until.
+Frontier goal_distance_layers(const CompiledModel& model, const StateSet& stay,
+                              const StateSet& goal, std::size_t bound) {
+  Frontier frontier;
+  StateSet seen = goal;
+  for (StateId s = 0; s < model.num_states(); ++s) {
+    if (goal[s]) frontier.order.push_back(s);
+  }
+  frontier.layer_end.push_back(frontier.order.size());
+  std::size_t layer_begin = 0;
+  while (frontier.layer_end.size() <= bound &&
+         layer_begin < frontier.order.size()) {
+    const std::size_t layer_stop = frontier.order.size();
+    for (std::size_t i = layer_begin; i < layer_stop; ++i) {
+      for (StateId p : model.predecessors(frontier.order[i])) {
+        if (stay[p] && !seen[p]) {
+          seen.set(p);
+          frontier.order.push_back(p);
+        }
+      }
+    }
+    std::sort(frontier.order.begin() + layer_stop, frontier.order.end());
+    frontier.layer_end.push_back(frontier.order.size());
+    layer_begin = layer_stop;
+  }
+  return frontier;
+}
+
 /// `steps` Jacobi applications of the per-state update `step(s, values)`
 /// from `values`, polling the budget once per sweep: the one fixed-horizon
-/// sweep behind the bounded-until and cumulative-reward entry points.
+/// sweep behind the bounded-until and cumulative-reward entry points. Sweep
+/// k updates only the states in `frontier.live(k)`; every other state keeps
+/// its value, which the caller guarantees `step` would reproduce exactly,
+/// so the result is the full sweep's, bit for bit.
 template <typename Step>
 std::vector<double> fixed_horizon(const char* engine,
                                   std::vector<double> values,
                                   std::size_t steps, std::size_t threads,
-                                  const Budget* budget, Step&& step) {
-  const std::size_t n = values.size();
+                                  const Budget* budget,
+                                  const Frontier& frontier, Step&& step) {
   std::vector<double> next = values;
   BudgetTracker tracker(budget_or_default(budget));
+  std::uint64_t state_updates = 0;
   for (std::size_t k = 0; k < steps; ++k) {
     if (!tracker.tick()) tracker.require_ok(engine);
+    const std::size_t live = frontier.live(k);
+    state_updates += live;
     parallel_for(
-        0, n, kDefaultGrain,
+        0, live, kDefaultGrain,
         [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          for (StateId s = chunk_begin; s < chunk_end; ++s) {
+          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
+            const StateId s = frontier.order[i];
             next[s] = step(s, std::span<const double>(values));
           }
         },
         threads);
     values.swap(next);
   }
-  record_bounded_sweeps(steps);
+  record_bounded_sweeps(steps, state_updates);
   return values;
 }
 
@@ -195,9 +258,9 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
   };
   std::vector<std::vector<Mec>> block_mecs(scc.num_blocks());
   if (objective == Objective::kMaximize) {
-    StateSet unknown = set_union(zero, one);
-    unknown.flip();
-    for (auto& members : maximal_end_components(model, unknown)) {
+    StateSet undecided = set_union(zero, one);
+    undecided.flip();
+    for (auto& members : maximal_end_components(model, undecided)) {
       Mec mec;
       auto inside = [&](StateId t) {
         return std::binary_search(members.begin(), members.end(), t);
@@ -235,38 +298,57 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
   BudgetTracker tracker(options.budget);
   bool budget_fired = false;
 
-  // One Jacobi sweep of this block's unknown states against `src`, into
-  // `dst`. `from_below` keeps the lower iterate monotone non-decreasing and
-  // the upper monotone non-increasing, so rounding can never break the
-  // bracket direction.
-  auto sweep = [&](std::size_t begin, std::size_t end,
-                   const std::vector<double>& src, std::vector<double>& dst,
-                   bool from_below) {
-    parallel_for(
-        begin, end, kDefaultGrain,
+  // States whose bounds the MEC snap rewrites after a sweep: their gap is
+  // taken after the snap, every other state's inside the sweep.
+  StateSet in_mec(n, false);
+  for (const auto& mecs : block_mecs) {
+    for (const Mec& mec : mecs) {
+      for (StateId s : mec.states) in_mec.set(s);
+    }
+  }
+
+  // The unknown states of each block, in block order: block b's are
+  // unknown[unknown_start[b], unknown_start[b + 1]). Sweeps and the pool's
+  // chunk floor see only these, not the block's pinned states.
+  std::vector<StateId> unknown;
+  std::vector<std::size_t> unknown_start(scc.num_blocks() + 1, 0);
+  for (std::uint32_t b = 0; b < scc.num_blocks(); ++b) {
+    for (StateId s : scc.block(b)) {
+      if (!zero[s] && !one[s]) unknown.push_back(s);
+    }
+    unknown_start[b + 1] = unknown.size();
+  }
+
+  // One Jacobi sweep of unknown[begin, end), both bounds in one pool job:
+  // the lower iterate into next_lo, the upper into next_hi. The clamps
+  // keep the lower iterate monotone non-decreasing and the upper monotone
+  // non-increasing, so rounding can never break the bracket direction.
+  // Returns the largest gap among the swept states outside MECs (max is
+  // exact, so the order of the fold does not matter).
+  auto sweep = [&](std::size_t begin, std::size_t end) {
+    return parallel_transform_reduce(
+        begin, end, kDefaultGrain, 0.0,
         [&](std::size_t chunk_begin, std::size_t chunk_end) {
+          double local = 0.0;
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            const StateId s = scc.block_states[i];
-            if (zero[s] || one[s]) continue;
-            const double best = reach_step(model, s, objective, src);
-            dst[s] = from_below ? std::max(best, src[s])
-                                : std::min(best, src[s]);
+            const StateId s = unknown[i];
+            next_lo[s] =
+                std::max(reach_step(model, s, objective, lo), lo[s]);
+            next_hi[s] =
+                std::min(reach_step(model, s, objective, hi), hi[s]);
+            if (!in_mec[s]) local = std::max(local, next_hi[s] - next_lo[s]);
           }
+          return local;
         },
-        options.threads);
+        [](double a, double b) { return std::max(a, b); }, options.threads);
   };
 
   for (std::uint32_t b = 0; b < scc.num_blocks() && !budget_fired; ++b) {
-    const auto block = scc.block(b);
-    bool any_unknown = false;
-    for (StateId s : block) {
-      if (!zero[s] && !one[s]) {
-        any_unknown = true;
-        break;
-      }
-    }
-    if (!any_unknown) continue;
+    const std::size_t begin = unknown_start[b];
+    const std::size_t end = unknown_start[b + 1];
+    if (begin == end) continue;
 
+    const auto block = scc.block(b);
     if (block.size() == 1) {
       // Downstream values are final, so the closed form is final too; its
       // gap is bounded by the worst downstream gap (the 1/(1-a) factor in
@@ -279,17 +361,13 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
       continue;
     }
 
-    const std::size_t begin = scc.block_start[b];
-    const std::size_t end = scc.block_start[b + 1];
-
     bool converged = false;
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
       if (!tracker.tick()) {
         budget_fired = true;
         break;
       }
-      sweep(begin, end, lo, next_lo, /*from_below=*/true);
-      sweep(begin, end, hi, next_hi, /*from_below=*/false);
+      double gap = sweep(begin, end);
       lo.swap(next_lo);
       hi.swap(next_hi);
       ++total_sweeps;
@@ -309,20 +387,9 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
         for (StateId s : mec.states) {
           lo[s] = std::max(lo[s], exit_lo);
           hi[s] = std::min(hi[s], exit_hi);
+          gap = std::max(gap, hi[s] - lo[s]);
         }
       }
-      const double gap = parallel_transform_reduce(
-          begin, end, kDefaultGrain, 0.0,
-          [&](std::size_t chunk_begin, std::size_t chunk_end) {
-            double local = 0.0;
-            for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-              const StateId s = scc.block_states[i];
-              if (zero[s] || one[s]) continue;
-              local = std::max(local, hi[s] - lo[s]);
-            }
-            return local;
-          },
-          [](double a, double b) { return std::max(a, b); }, options.threads);
       if (checked_gap(gap) < options.tolerance &&
           !fault::fire("checker.converge")) {
         converged = true;
@@ -330,8 +397,8 @@ SolveResult reach_interval(const CompiledModel& model, const Prob01& sets,
       }
     }
     for (std::size_t i = begin; i < end; ++i) {
-      next_lo[scc.block_states[i]] = lo[scc.block_states[i]];
-      next_hi[scc.block_states[i]] = hi[scc.block_states[i]];
+      next_lo[unknown[i]] = lo[unknown[i]];
+      next_hi[unknown[i]] = hi[unknown[i]];
     }
     if (!converged) {
       if (!budget_fired && options.throw_on_nonconvergence) {
@@ -422,12 +489,13 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
   for (StateId s = 0; s < n; ++s) {
     if (goal[s]) values[s] = 1.0;
   }
+  // A state more than k+1 stay-steps from goal reads only zeros in sweep k
+  // and would compute exactly 0.0, so the sweeps skip it.
   return fixed_horizon(
       "mdp_bounded_until", std::move(values), bound, threads, budget,
+      goal_distance_layers(model, stay, goal, bound),
       [&](StateId s, std::span<const double> prev) {
-        if (goal[s]) return 1.0;
-        if (!stay[s]) return 0.0;
-        return reach_step(model, s, objective, prev);
+        return goal[s] ? 1.0 : reach_step(model, s, objective, prev);
       });
 }
 
@@ -446,7 +514,7 @@ std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
                                           const Budget* budget) {
   return fixed_horizon(
       "mdp_cumulative_reward", std::vector<double>(model.num_states(), 0.0),
-      horizon, threads, budget,
+      horizon, threads, budget, every_state(model.num_states()),
       [&](StateId s, std::span<const double> prev) {
         return best_choice(model, s, objective, [&](std::uint32_t c) {
                  return expectation(

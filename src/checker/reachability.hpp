@@ -60,7 +60,11 @@ SolveResult mdp_until_bracket(const CompiledModel& model, const StateSet& stay,
 /// Per-state step-bounded until values: opt over schedulers of
 /// P[ stay U<=k goal ] where `stay`/`goal` are the satisfaction sets of the
 /// until operands. On a DTMC (one choice per row) the optimization is the
-/// identity and the sweep is the plain matrix-vector iteration.
+/// identity and the sweep is the plain matrix-vector iteration. Step j
+/// updates only the states within j stay-steps of goal (one backward BFS
+/// over predecessors()); the rest would compute exactly 0, so the values
+/// are the full sweep's bit for bit. `checker.bounded.state_updates`
+/// counts the updates made.
 /// The `threads` parameter on the bounded/cumulative engines selects the
 /// parallelism of the per-state Jacobi sweeps (0 = TML_THREADS / hardware);
 /// results are bitwise identical for every thread count.

@@ -112,8 +112,11 @@ inline constexpr std::size_t kDefaultGrain = 64;
 /// about 5–15 µs per job, more than a few chunks of Bellman backups: on a
 /// 4-vCPU VM, discounted value iteration on grid MDPs took 3.4 vs 8.0
 /// µs/sweep (threads 1 vs 2) at 3 chunks, 5.3 vs 11.6 at 4, 17.4 vs 27.3
-/// at 13, 24.2 vs 31.0 at 16 and 48.0 vs 46.2 at 36; the robust interval
-/// engine, with more work per state, breaks even at about 16–21 chunks.
+/// at 13, 24.2 vs 31.0 at 16 and 48.0 vs 46.2 at 36. The robust interval
+/// engine, on a gambler's-ruin walk with this floor lowered to 2, took 13.5
+/// vs 23.9 µs/sweep at 4 chunks, 47.7 vs 57.9 at 16, 64.4 vs 68.9 at 21 and
+/// 97.0 vs 104.6 at 36: it does not break even below 36 chunks either, so
+/// 16 stays the one floor.
 /// Jobs of other grains (SMC shards, NLP starts, IRL time slices) carry
 /// far more work per chunk and use the pool from two chunks on.
 inline constexpr std::size_t kMinParallelChunks = 16;

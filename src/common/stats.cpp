@@ -57,6 +57,8 @@ constexpr SchemaEntry kSchema[] = {
     {"checker.vi.iterations", SchemaEntry::kCounter},
     {"checker.pi.iterations", SchemaEntry::kCounter},
     {"checker.bounded.sweeps", SchemaEntry::kCounter},
+    {"checker.bounded.state_updates", SchemaEntry::kCounter},
+    {"checker.robust.unknown_states", SchemaEntry::kGauge},
     {"checker.prob0.states", SchemaEntry::kGauge},
     {"checker.prob1.states", SchemaEntry::kGauge},
     {"checker.vi.last_delta", SchemaEntry::kGauge},

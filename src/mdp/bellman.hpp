@@ -66,17 +66,21 @@ inline double expectation(const CompiledModel& model, std::uint32_t c,
 }
 
 /// Jacobi sweeps from the seed in `result->values` until the sweep delta
-/// drops below tolerance. `sweep(begin, end, values, next)` writes states
-/// [begin, end) of `next` from the previous iterate (states it skips keep
-/// their seed) and returns the chunk's max delta. Chunks are kDefaultGrain
-/// states and the delta is a max-reduction, so every iterate is bitwise
-/// identical for every thread count. Polls the budget once per sweep
-/// (flagging, not throwing); throws NumericError on a NaN delta and, with
-/// throw_on_nonconvergence, when max_iterations run out.
+/// drops below tolerance. A sweep covers `positions` positions of the
+/// engine's own state order: `sweep(begin, end, values, next)` writes the
+/// states at positions [begin, end) of `next` from the previous iterate
+/// (states it never writes keep their seed) and returns the chunk's max
+/// delta. An engine that sweeps every state passes num_states() and
+/// position = state; one that pins states first passes the length of its
+/// list of unknown states. Chunks are kDefaultGrain positions and the delta
+/// is a max-reduction, so every iterate is bitwise identical for every
+/// thread count. Polls the budget once per sweep (flagging, not throwing);
+/// throws NumericError on a NaN delta and, with throw_on_nonconvergence,
+/// when max_iterations run out.
 template <typename Sweep>
 void iterate_to_fixpoint(const char* engine, const SolverOptions& options,
-                         SolveResult* result, Sweep&& sweep) {
-  const std::size_t n = result->values.size();
+                         SolveResult* result, std::size_t positions,
+                         Sweep&& sweep) {
   std::vector<double> next = result->values;
   double last_delta = 0.0;
   BudgetTracker tracker(options.budget);
@@ -88,7 +92,7 @@ void iterate_to_fixpoint(const char* engine, const SolverOptions& options,
     }
     const std::vector<double>& values = result->values;
     const double delta = parallel_transform_reduce(
-        std::size_t{0}, n, kDefaultGrain, 0.0,
+        std::size_t{0}, positions, kDefaultGrain, 0.0,
         [&](std::size_t begin, std::size_t end) {
           return sweep(begin, end, std::span<const double>(values), next);
         },

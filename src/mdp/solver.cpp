@@ -274,7 +274,7 @@ SolveResult value_iteration_discounted(const CompiledModel& model,
   result.values.assign(n, 0.0);
   result.policy.choice_index.assign(n, 0);
   iterate_to_fixpoint(
-      "value_iteration_discounted", options, &result,
+      "value_iteration_discounted", options, &result, n,
       [&](std::size_t begin, std::size_t end, std::span<const double> values,
           std::vector<double>& next) {
         double local = 0.0;
@@ -394,7 +394,7 @@ SolveResult total_reward_to_target(const CompiledModel& model,
   }
 
   iterate_to_fixpoint(
-      "total_reward_to_target", options, &result,
+      "total_reward_to_target", options, &result, n,
       [&](std::size_t begin, std::size_t end, std::span<const double> values,
           std::vector<double>& next) {
         double local = 0.0;

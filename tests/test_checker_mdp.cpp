@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "src/checker/check.hpp"
+#include "src/checker/reachability.hpp"
+#include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/solver.hpp"
+#include "tests/oracle.hpp"
 
 namespace tml {
 namespace {
@@ -309,6 +312,162 @@ TEST(MdpChecker, DtmcAndMdpAgreeOnDegenerateMdp) {
     EXPECT_NEAR(*check(chain, prop).value, *check(mdp, prop).value, 1e-9)
         << prop;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Step-bounded until sweeps only the states within k+1 steps of goal; every
+// state it skips would have computed exactly 0, so its values must equal
+// the textbook loop that updates every state on every step, bit for bit.
+
+/// The fixed-horizon loop written out: every state, every step, choices in
+/// order with ties to the first, Pmin clamped to 1 against rounding.
+std::vector<double> naive_bounded_until(const CompiledModel& model,
+                                        const StateSet& stay,
+                                        const StateSet& goal,
+                                        std::size_t bound,
+                                        Objective objective) {
+  const std::size_t n = model.num_states();
+  const bool maximize = objective == Objective::kMaximize;
+  std::vector<double> values(n, 0.0);
+  for (StateId s = 0; s < n; ++s) {
+    if (goal[s]) values[s] = 1.0;
+  }
+  std::vector<double> next(n);
+  for (std::size_t k = 0; k < bound; ++k) {
+    for (StateId s = 0; s < n; ++s) {
+      if (goal[s] || !stay[s]) {
+        next[s] = values[s];
+        continue;
+      }
+      double best = 0.0;
+      for (std::uint32_t c = model.first_choice(s); c < model.last_choice(s);
+           ++c) {
+        double q = 0.0;
+        for (std::uint32_t e = model.choice_start()[c];
+             e < model.choice_start()[c + 1]; ++e) {
+          q += model.prob()[e] * values[model.target()[e]];
+        }
+        if (c == model.first_choice(s) || (maximize ? q > best : q < best)) {
+          best = q;
+        }
+      }
+      next[s] = maximize ? best : std::min(1.0, best);
+    }
+    values.swap(next);
+  }
+  return values;
+}
+
+/// A random model whose stay set leaves out about one state in five; the
+/// stay states carry the label "safe".
+struct BoundedCase {
+  oracle::RandomModel rm;
+  StateSet stay;
+};
+
+BoundedCase bounded_case(std::uint64_t seed, std::size_t n,
+                         std::size_t max_choices) {
+  Rng rng(seed);
+  oracle::RandomModelConfig cfg;
+  cfg.num_states = n;
+  cfg.max_choices = max_choices;
+  BoundedCase out{oracle::random_model(rng, cfg), StateSet(n, false)};
+  for (StateId s = 0; s < n; ++s) {
+    if (rng.uniform() < 0.8) {
+      out.stay.set(s);
+      out.rm.mdp.add_label(s, "safe");
+    }
+  }
+  return out;
+}
+
+TEST(BoundedFrontier, RandomModelsMatchTheFullSweepBitwise) {
+  // 40 states: every bound from 40 on lies past the deepest BFS layer.
+  // 1500 states: the late sweeps' frontier spans more than 16 chunks, so
+  // threads 2 and 7 run them on the pool.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::size_t n = seed <= 10 ? 40 : 1500;
+    for (const std::size_t max_choices : {std::size_t{1}, std::size_t{3}}) {
+      const BoundedCase bc = bounded_case(seed, n, max_choices);
+      const CompiledModel model = compile(bc.rm.mdp);
+      const StateSet everywhere(n, true);
+      for (const StateSet* stay : {&everywhere, &bc.stay}) {
+        for (const Objective objective :
+             {Objective::kMaximize, Objective::kMinimize}) {
+          for (const std::size_t bound : {std::size_t{0}, std::size_t{1},
+                                          std::size_t{4}, std::size_t{60}}) {
+            const std::vector<double> want = naive_bounded_until(
+                model, *stay, bc.rm.targets, bound, objective);
+            for (const std::size_t threads : {1u, 2u, 7u}) {
+              const std::vector<double> got = mdp_bounded_until(
+                  model, *stay, bc.rm.targets, bound, objective, threads);
+              ASSERT_EQ(got.size(), n);
+              for (StateId s = 0; s < n; ++s) {
+                ASSERT_EQ(got[s], want[s])
+                    << "seed " << seed << " choices " << max_choices
+                    << (stay == &everywhere ? " F" : " U") << " bound "
+                    << bound << " threads " << threads << " state " << s;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BoundedFrontier, UntilAndGloballyThroughCheckMatchTheFullSweep) {
+  for (std::uint64_t seed = 21; seed <= 26; ++seed) {
+    const BoundedCase bc = bounded_case(seed, 40, 3);
+    const CompiledModel model = compile(bc.rm.mdp);
+    const StateId init = model.initial_state();
+    const StateSet everywhere(40, true);
+    for (const std::size_t threads : {1u, 2u, 7u}) {
+      CheckOptions options;
+      options.threads = threads;
+      for (const std::size_t k : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{50}}) {
+        const std::string bound = std::to_string(k);
+        const double until = *check(model,
+                                    *parse_pctl("Pmin=? [ \"safe\" U<=" +
+                                                bound + " \"goal\" ]"),
+                                    options)
+                                  .value;
+        EXPECT_EQ(until, naive_bounded_until(model, bc.stay, bc.rm.targets, k,
+                                             Objective::kMinimize)[init])
+            << "seed " << seed << " k " << k;
+        // P(G<=k !goal) = 1 - P(F<=k goal) with the objective flipped.
+        const double globally =
+            *check(model, *parse_pctl("Pmax=? [ G<=" + bound + " !\"goal\" ]"),
+                   options)
+                 .value;
+        EXPECT_EQ(globally,
+                  1.0 - naive_bounded_until(model, everywhere, bc.rm.targets,
+                                            k, Objective::kMinimize)[init])
+            << "seed " << seed << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(BoundedFrontier, SweepsOnlyTheStatesWithinReach) {
+  // A 10-state line into goal at state 9: sweep k updates the k+2 states
+  // within k+1 steps of goal, so F<=4 makes 2+3+4+5 = 14 state updates.
+  Mdp line(10);
+  for (StateId s = 0; s + 1 < 10; ++s) {
+    line.add_choice(s, "step", {Transition{s + 1, 0.5}, Transition{s, 0.5}});
+  }
+  line.add_choice(9, "loop", {Transition{9, 1.0}});
+  line.add_label(9, "goal");
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
+  stats::Counter& updates = stats::counter("checker.bounded.state_updates");
+  const std::uint64_t start = updates.value();
+  const double value = *check(line, "Pmax=? [ F<=4 \"goal\" ]").value;
+  const std::uint64_t made = updates.value() - start;
+  stats::set_enabled(was_enabled);
+  EXPECT_EQ(made, 14u);
+  EXPECT_EQ(value, 0.0);  // state 0 is 9 steps from goal
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Unit tests for the interval-MDP robust verification baseline
 // (src/checker/interval.cpp): the order-based greedy inner step, degenerate
 // intervals collapsing to the point solver, hand-computed robust
-// reachability under adversarial and cooperative nature, and a seeded
+// reachability under adversarial and cooperative nature, the graph pass
+// that pins prob0/prob1 states before the sweep, and a seeded
 // soundness battery: on random widened MDPs, every concrete model drawn
 // inside the boxes has a point value between the pessimistic and the
 // optimistic robust value.
@@ -166,6 +167,72 @@ TEST(IntervalReachability, ZeroRadiusCollapsesToPointSolver) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Graph pinning: the zero set always, the one set only when every support
+// edge keeps a positive lower bound.
+
+/// s0 -> goal (p) or back to s0 (1 - p); s1 is the goal, s2 a dead end that
+/// never reaches it.
+Mdp retry_chain(double p) {
+  Mdp mdp(3);
+  mdp.add_choice(0, "try", {Transition{1, p}, Transition{0, 1.0 - p}});
+  mdp.add_choice(1, "loop", {Transition{1, 1.0}});
+  mdp.add_choice(2, "loop", {Transition{2, 1.0}});
+  mdp.add_label(1, "goal");
+  return mdp;
+}
+
+TEST(IntervalPinning, OneSetIsPinnedWhenEveryEdgeKeepsItsSupport) {
+  // Every edge keeps a lower bound of at least 0.49, so each nature still
+  // retries with positive probability: s0 reaches goal almost surely and
+  // is pinned to exactly 1, and the dead end to exactly 0.
+  const IntervalMdp widened = IntervalMdp::widen(retry_chain(0.5), 0.01);
+  StateSet targets(3);
+  targets.set(1);
+  for (const Nature nature : {Nature::kAdversarial, Nature::kCooperative}) {
+    const std::vector<double> values = interval_reachability(
+        widened, targets, Objective::kMaximize, nature);
+    EXPECT_EQ(values[0], 1.0);
+    EXPECT_EQ(values[1], 1.0);
+    EXPECT_EQ(values[2], 0.0);
+  }
+}
+
+TEST(IntervalPinning, OneSetIsNotPinnedWhenNatureCanDropAnEdge) {
+  // Nominally s0 retries a 0.005 chance forever, so Pmax = 1. Widened by
+  // 0.01, the goal edge's box is [0, 0.015]: adversarial nature puts 0 on
+  // it at every step and s0 never reaches goal.
+  const Mdp nominal = retry_chain(0.005);
+  StateSet targets(3);
+  targets.set(1);
+  EXPECT_NEAR(mdp_reachability(compile(nominal), targets,
+                               Objective::kMaximize)[0],
+              1.0, 1e-9);
+  const IntervalMdp widened = IntervalMdp::widen(nominal, 0.01);
+  const std::vector<double> worst = interval_reachability(
+      widened, targets, Objective::kMaximize, Nature::kAdversarial);
+  EXPECT_EQ(worst[0], 0.0);
+  const std::vector<double> best = interval_reachability(
+      widened, targets, Objective::kMaximize, Nature::kCooperative);
+  EXPECT_NEAR(best[0], 1.0, 1e-6);
+}
+
+TEST(IntervalPinning, ZeroProbabilityEdgesStayOutOfTheSupport) {
+  // A listed 0-probability edge into goal is not a transition: widening
+  // keeps its box at [0, 0], so s0 still never reaches goal.
+  Mdp mdp(2);
+  mdp.add_choice(0, "a", {Transition{0, 1.0}, Transition{1, 0.0}});
+  mdp.add_choice(1, "loop", {Transition{1, 1.0}});
+  mdp.add_label(1, "goal");
+  const IntervalMdp widened = IntervalMdp::widen(mdp, 0.1);
+  EXPECT_EQ(widened.upper()[1], 0.0);
+  StateSet targets(2);
+  targets.set(1);
+  EXPECT_EQ(interval_reachability(widened, targets, Objective::kMaximize,
+                                  Nature::kCooperative)[0],
+            0.0);
 }
 
 // ---------------------------------------------------------------------------

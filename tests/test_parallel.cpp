@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/casestudies/generator.hpp"
 #include "src/checker/interval.hpp"
 #include "src/checker/smc.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/stats.hpp"
 #include "src/logic/parser.hpp"
 #include "src/opt/solvers.hpp"
 
@@ -256,22 +256,40 @@ TEST(SmcParallel, IndecisiveRunReportsZeroDecidedAfter) {
   EXPECT_EQ(result.decided_after, 0u);
 }
 
+/// Gambler's ruin on 1200 interior cells: state 0 is ruin, state 1201 the
+/// goal. Each cell either steps (up 0.3, down 0.7) or hedges (up 0.2, stay
+/// 0.3, down 0.5), so every cell reaches goal and ruin with positive
+/// probability and none is pinned by the graph pass.
+Mdp ruin_walk() {
+  constexpr StateId kCells = 1200;
+  Mdp mdp(kCells + 2);
+  mdp.add_choice(0, "loop", {Transition{0, 1.0}});
+  mdp.add_choice(kCells + 1, "loop", {Transition{kCells + 1, 1.0}});
+  mdp.add_label(kCells + 1, "goal");
+  for (StateId s = 1; s <= kCells; ++s) {
+    mdp.add_choice(s, "step",
+                   {Transition{s + 1, 0.3}, Transition{s - 1, 0.7}});
+    mdp.add_choice(s, "hedge", {Transition{s + 1, 0.2}, Transition{s, 0.3},
+                                Transition{s - 1, 0.5}});
+  }
+  return mdp;
+}
+
 TEST(RobustParallel, BitwiseIdenticalAcrossThreadCounts) {
-  // A 20x20 grid robot with hazards: 400 states, seven 64-state sweep
-  // chunks, each resolving its polytopes in its own scratch buffer.
-  GeneratorSpec spec;
-  spec.family = GeneratorFamily::kGridRobot;
-  spec.size = 20;
-  spec.hazard_density = 0.05;
-  const Mdp grid = generate_grid_robot(spec);
-  ASSERT_GE(grid.num_states(), 400u);
-  const IntervalMdp widened = IntervalMdp::widen(grid, 0.01);
-  const StateSet goal = grid.states_with_label("goal");
+  // 1200 unknown states: nineteen 64-state sweep chunks, enough for the
+  // pool, each resolving its polytopes in its own scratch buffer.
+  const Mdp walk = ruin_walk();
+  const IntervalMdp widened = IntervalMdp::widen(walk, 0.01);
+  const StateSet goal = walk.states_with_label("goal");
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
   for (const Nature nature : {Nature::kAdversarial, Nature::kCooperative}) {
     SolverOptions options;
     options.threads = 1;
     const std::vector<double> reference = interval_reachability(
         widened, goal, Objective::kMaximize, nature, options);
+    EXPECT_GE(stats::gauge("checker.robust.unknown_states").value(),
+              static_cast<double>(kMinParallelChunks * kDefaultGrain));
     for (const std::size_t threads : {2u, 4u, 7u}) {
       options.threads = threads;
       const std::vector<double> values = interval_reachability(
@@ -285,6 +303,7 @@ TEST(RobustParallel, BitwiseIdenticalAcrossThreadCounts) {
       }
     }
   }
+  stats::set_enabled(was_enabled);
 }
 
 Problem two_basin_problem() {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/checker/check.hpp"
+#include "src/checker/interval.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/model.hpp"
 
@@ -143,6 +144,45 @@ TEST(Stats, CheckerAndCompileInstrumentationCountWork) {
   EXPECT_GE(stats::counter("compile.calls").value(), 1u);
   EXPECT_GE(stats::counter("compile.rows").value(), 3u);
   EXPECT_GE(stats::timer("checker.check.time").count(), 1u);
+}
+
+TEST(Stats, SweepEnginesReportTheStatesTheySkip) {
+  // s0 gambles for s1 (which reaches goal s2 almost surely) against the
+  // trap s3.
+  Mdp mdp(4);
+  mdp.add_choice(0, "go", {Transition{1, 0.5}, Transition{3, 0.5}});
+  mdp.add_choice(1, "try", {Transition{2, 0.5}, Transition{1, 0.5}});
+  mdp.add_choice(2, "loop", {Transition{2, 1.0}});
+  mdp.add_choice(3, "loop", {Transition{3, 1.0}});
+  mdp.add_label(2, "goal");
+  const StateSet goal = mdp.states_with_label("goal");
+  const IntervalMdp widened = IntervalMdp::widen(mdp, 0.01);
+  const auto run = [&] {
+    (void)check(mdp, "Pmax=? [ F<=2 \"goal\" ]");
+    (void)interval_reachability(widened, goal, Objective::kMaximize,
+                                Nature::kAdversarial);
+  };
+  stats::Counter& updates = stats::counter("checker.bounded.state_updates");
+  stats::Gauge& unknown = stats::gauge("checker.robust.unknown_states");
+  {
+    const EnabledGuard guard(false);
+    stats::reset();
+    run();
+    EXPECT_EQ(updates.value(), 0u);
+    EXPECT_DOUBLE_EQ(unknown.value(), 0.0);
+  }
+  const EnabledGuard guard(true);
+  stats::reset();
+  run();
+  // Goal distances are s2: 0, s1: 1, s0: 2 (s3 never reaches goal), so the
+  // two sweeps update 2 and then 3 states instead of 4 and 4.
+  EXPECT_EQ(stats::counter("checker.bounded.sweeps").value(), 2u);
+  EXPECT_EQ(updates.value(), 5u);
+  // The graph pass pins s1 and s2 to 1 and s3 to 0; only s0 is swept.
+  EXPECT_DOUBLE_EQ(unknown.value(), 1.0);
+  const std::string json = stats_to_json();
+  EXPECT_NE(json.find("\"checker.bounded.state_updates\""), std::string::npos);
+  EXPECT_NE(json.find("\"checker.robust.unknown_states\""), std::string::npos);
 }
 
 TEST(Stats, InstrumentationDoesNotPerturbResults) {
