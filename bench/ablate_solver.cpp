@@ -1,11 +1,17 @@
-// Ablation: NLP algorithm choice (the AMPL-substitute, DESIGN.md §3) on
-// the repair problems — penalty, augmented Lagrangian, Nelder–Mead.
+// Ablation: NLP algorithm choice (the AMPL substitute, DESIGN.md §3) on
+// the repair problems — the SQP/KKT solve the repairs run, and the
+// multistart penalty, augmented-Lagrangian and Nelder–Mead solvers it falls
+// back to.
 //
-// Reported per algorithm on the WSN X=40 Model Repair NLP and the
-// lane-change Data Repair NLP: status, solution quality (cost), constraint
-// activity, and iteration counts. All three should agree on
-// feasible/infeasible verdicts; quality and effort differ.
+// Reported per algorithm on the WSN Model Repair NLP (the closed form from
+// parametric model checking under the same margined constraint
+// model_repair builds) and on a raw two-variable NLP: status, cost,
+// constraint value, iterations, and the KKT residual with whether
+// minimality is certified. All should agree on feasible/infeasible
+// verdicts; only the KKT solve certifies its point.
 
+#include <cmath>
+#include <functional>
 #include <iostream>
 
 #include "src/casestudies/wsn.hpp"
@@ -13,8 +19,59 @@
 #include "src/core/model_repair.hpp"
 #include "src/logic/parser.hpp"
 #include "src/mdp/solver.hpp"
+#include "src/opt/kkt.hpp"
 
 using namespace tml;
+
+namespace {
+
+Problem l2_problem(std::size_t dim) {
+  Problem problem;
+  problem.dimension = dim;
+  problem.objective = [](std::span<const double> v) {
+    double acc = 0.0;
+    for (double x : v) acc += x * x;
+    return acc;
+  };
+  problem.objective_gradient = [](std::span<const double> v) {
+    std::vector<double> g(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) g[i] = 2.0 * v[i];
+    return g;
+  };
+  problem.objective_hessian_diagonal.assign(dim, 2.0);
+  return problem;
+}
+
+std::string residual_text(const SolveOutcome& out) {
+  return std::isfinite(out.kkt_residual) ? format_double(out.kkt_residual, 2)
+                                         : "-";
+}
+
+/// One row per algorithm: "kkt" is solve_repair from the nominal point 0
+/// (what the repairs run), the others the multistart solve() alone.
+void add_rows(Table& table, const Problem& problem,
+              const std::function<double(std::span<const double>)>& achieved) {
+  const std::vector<double> nominal(problem.dimension, 0.0);
+  const auto row = [&](const std::string& name, const SolveOutcome& out) {
+    table.add_row({name, to_string(out.status),
+                   out.status == SolveStatus::kOptimal
+                       ? format_double(out.objective, 6)
+                       : "-",
+                   out.x.empty() ? "-" : format_double(achieved(out.x), 6),
+                   std::to_string(out.iterations), residual_text(out),
+                   out.minimality_certified ? "yes" : "no"});
+  };
+  row("kkt", solve_repair(problem, nominal, SolveOptions{}));
+  for (const Algorithm algorithm :
+       {Algorithm::kPenalty, Algorithm::kAugmentedLagrangian,
+        Algorithm::kNelderMead}) {
+    SolveOptions options;
+    options.algorithm = algorithm;
+    row(to_string(algorithm), solve(problem, options));
+  }
+}
+
+}  // namespace
 
 int main() {
   const WsnConfig config;
@@ -26,60 +83,55 @@ int main() {
   const Dtmc induced = mdp.induced_dtmc(routing);
 
   std::cout << "=== Ablation: NLP solver on the repair problems ===\n\n";
-
-  const std::vector<Algorithm> algorithms{Algorithm::kPenalty,
-                                          Algorithm::kAugmentedLagrangian,
-                                          Algorithm::kNelderMead};
+  const std::vector<std::string> columns{
+      "algorithm", "status", "cost g(v)", "f(v)", "iterations",
+      "KKT residual", "certified minimal"};
 
   for (const double x : {40.0, 19.0}) {
     const StateFormulaPtr property =
         parse_pctl("R<=" + format_double(x, 4) + " [ F \"delivered\" ]");
     std::cout << "problem: WSN model repair, " << property->to_string()
               << "\n";
-    Table table({"algorithm", "status", "cost g(v)", "achieved",
-                 "inner iterations"});
-    for (const Algorithm algorithm : algorithms) {
-      ModelRepairConfig repair_config;
-      repair_config.solver.algorithm = algorithm;
-      const PerturbationScheme scheme =
-          wsn_perturbation(config, induced, 0.08);
-      const ModelRepairResult result =
-          model_repair(scheme, *property, repair_config);
-      table.add_row(
-          {to_string(algorithm), to_string(result.status),
-           result.feasible() ? format_double(result.cost, 4) : "-",
-           format_double(result.achieved, 5), "-"});
-    }
+    const PerturbationScheme scheme = wsn_perturbation(config, induced, 0.08);
+    const ModelRepairConfig defaults;
+    const PerturbationScheme::Built built =
+        scheme.build(defaults.probability_margin);
+    const RepairConstraint term(
+        *property,
+        parametric_property_function(built.chain, scheme.base(), *property,
+                                     defaults.elimination),
+        built.variables, defaults.constraint_margin, defaults.solver);
+    Problem problem = l2_problem(2);
+    problem.constraints.push_back(term.constraint());
+    problem.box.lower = built.lower;
+    problem.box.upper = built.upper;
+    Table table(columns);
+    add_rows(table, problem,
+             [&](std::span<const double> v) { return term.evaluate(v); });
     std::cout << table.to_string() << "\n";
   }
 
   std::cout << "problem: raw NLP (min p^2+q^2 s.t. 4/(0.08+p) + 1/(0.06+q) "
                "<= 40, box [0, 0.08]^2)\n";
-  Table raw({"algorithm", "status", "objective", "p", "q", "iterations"});
-  for (const Algorithm algorithm : algorithms) {
-    Problem problem;
-    problem.dimension = 2;
-    problem.objective = [](std::span<const double> v) {
-      return v[0] * v[0] + v[1] * v[1];
-    };
-    problem.constraints.push_back(Constraint{
-        "attempts",
-        [](std::span<const double> v) {
-          return 4.0 / (0.08 + v[0]) + 1.0 / (0.06 + v[1]) - 40.0;
-        },
-        nullptr});
-    problem.box = Box::uniform(2, 0.0, 0.08);
-    SolveOptions options;
-    options.algorithm = algorithm;
-    const SolveOutcome out = solve(problem, options);
-    raw.add_row({to_string(algorithm), to_string(out.status),
-                 format_double(out.objective, 5), format_double(out.x[0], 4),
-                 format_double(out.x[1], 4),
-                 std::to_string(out.iterations)});
-  }
-  std::cout << raw.to_string();
+  const auto attempts = [](std::span<const double> v) {
+    return 4.0 / (0.08 + v[0]) + 1.0 / (0.06 + v[1]);
+  };
+  Problem raw = l2_problem(2);
+  raw.constraints.push_back(Constraint{
+      "attempts",
+      [&](std::span<const double> v) { return attempts(v) - 40.0; },
+      [](std::span<const double> v) {
+        return std::vector<double>{-4.0 / ((0.08 + v[0]) * (0.08 + v[0])),
+                                   -1.0 / ((0.06 + v[1]) * (0.06 + v[1]))};
+      }});
+  raw.box = Box::uniform(2, 0.0, 0.08);
+  Table table(columns);
+  add_rows(table, raw, attempts);
+  std::cout << table.to_string();
   std::cout << "\nreading: all algorithms agree on the feasibility verdicts "
-               "(the observable the paper relies on); the gradient-based "
-               "methods find marginally tighter minima than Nelder-Mead.\n";
+               "(the observable the paper relies on); the KKT solve lands on "
+               "the constraint boundary in a few iterations and certifies "
+               "the minimum, the multistart solvers stop on their iteration "
+               "caps near it.\n";
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/opt/kkt.hpp"
 #include "src/opt/solvers.hpp"
 
 namespace tml {
@@ -37,6 +38,7 @@ Problem repair_problem(std::size_t dim) {
         }
         return g;
       }});
+  p.objective_hessian_diagonal.assign(dim, 2.0);
   p.box = Box::uniform(dim, 0.0, 0.5);
   return p;
 }
@@ -67,6 +69,18 @@ void BM_NelderMead(benchmark::State& state) {
   run_with(state, Algorithm::kNelderMead);
 }
 BENCHMARK(BM_NelderMead)->Arg(2)->Arg(4)->Arg(8);
+
+/// The repair NLP's certified path: the SQP/KKT solve from the nominal
+/// point (0), as repair_properties runs it.
+void BM_Kkt(benchmark::State& state) {
+  const std::size_t dim = static_cast<std::size_t>(state.range(0));
+  const Problem p = repair_problem(dim);
+  const std::vector<double> nominal(dim, 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solve_repair(p, nominal, SolveOptions{}));
+  }
+}
+BENCHMARK(BM_Kkt)->Arg(2)->Arg(4)->Arg(8);
 
 /// Multi-start thread sweep: 8 independent local solves fan out over the
 /// pool; the ordered reduction keeps the argmin identical at every point.

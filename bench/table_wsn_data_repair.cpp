@@ -9,6 +9,7 @@
 // of the keep weights (the paper's 0.4/(0.4+0.6p) shape) and the outer
 // machine-teaching NLP finds the smallest drop that restores the property.
 
+#include <cmath>
 #include <iostream>
 
 #include "src/casestudies/wsn.hpp"
@@ -72,7 +73,12 @@ int main() {
                        : format_double(result.drop_fractions[g], 4)});
   }
   std::cout << table.to_string() << "\n";
-  std::cout << "status: " << to_string(result.status) << "\n";
+  std::cout << "status: " << to_string(result.status) << ", KKT residual "
+            << (std::isfinite(result.kkt_residual)
+                    ? format_double(result.kkt_residual, 2)
+                    : "-")
+            << ", certified minimal: "
+            << (result.minimality_certified ? "yes" : "no") << "\n";
   if (result.feasible()) {
     std::cout << "re-learned model E[attempts] = "
               << format_double(result.achieved, 5) << " (bound 19), recheck "

@@ -499,14 +499,6 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
       });
 }
 
-SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
-                               const StateSet& goal,
-                               const SolverOptions& options) {
-  const auto absorbed = absorb_escape_states(model, stay, goal);
-  return dtmc_reachability_bracket(absorbed ? *absorbed : model, goal,
-                                   options);
-}
-
 std::vector<double> mdp_cumulative_reward(const CompiledModel& model,
                                           std::size_t horizon,
                                           Objective objective,

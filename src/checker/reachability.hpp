@@ -11,11 +11,13 @@
 // bracket directly; `mdp_reachability` returns its midpoint.
 //
 // Every entry point takes the compiled CSR form; callers compile once and
-// reuse it across queries. Until operators restrict to plain reachability
-// via CompiledModel::make_absorbing (states outside stay ∪ goal can never
-// contribute). The step-bounded and cumulative operators are two thin
-// entry points over one fixed-horizon Jacobi sweep, shared by DTMCs
-// (one-choice rows) and MDPs. Every sweep here — interval and
+// reuse it across queries. MDP until operators restrict to plain
+// reachability via CompiledModel::make_absorbing (states outside stay ∪ goal
+// can never contribute); the DTMC until solve (dtmc_until_bracket in
+// src/mdp/solver.hpp) pins those states to 0 in place instead. The
+// step-bounded and cumulative operators are two thin entry points over one
+// fixed-horizon Jacobi sweep, shared by DTMCs (one-choice rows) and MDPs.
+// Every sweep here — interval and
 // fixed-horizon — applies the one Bellman step of
 // src/mdp/bellman.hpp (best_choice over each choice's expectation); the
 // interval engine keeps its own per-block loop because it stops on the
@@ -74,13 +76,6 @@ std::vector<double> mdp_bounded_until(const CompiledModel& model,
                                       Objective objective,
                                       std::size_t threads = 0,
                                       const Budget* budget = nullptr);
-
-/// Unbounded constrained reachability P[ stay U goal ] for DTMCs, by making
-/// the escape region absorbing and running dtmc_reachability_bracket (one
-/// sparse direct solve with its certified bracket; the budget throws).
-SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
-                               const StateSet& goal,
-                               const SolverOptions& options = {});
 
 /// Expected cumulative reward over the first `horizon` steps (DTMCs and
 /// MDPs alike; see mdp_bounded_until).

@@ -1,8 +1,9 @@
 // Dense vector helpers: the handful of BLAS-1 style operations the IRL and
-// optimization modules use. The library has no dense matrix: every
-// floating-point linear system it solves (DTMC P[F]/R[F], policy
-// evaluation, stationary and long-run distributions) goes through the
-// sparse envelope LU of src/mdp/solver.hpp.
+// optimization modules use. Every floating-point linear system over model
+// states (DTMC P[F]/R[F], policy evaluation, stationary and long-run
+// distributions) goes through the sparse envelope LU of
+// src/mdp/solver.hpp; the only dense systems are the repair NLP's
+// variables-by-variables ones inside src/opt/kkt.cpp.
 
 #pragma once
 

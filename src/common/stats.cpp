@@ -85,6 +85,9 @@ constexpr SchemaEntry kSchema[] = {
     {"opt.constraint_evals", SchemaEntry::kCounter},
     {"opt.multistart.winner", SchemaEntry::kGauge},
     {"opt.solve.time", SchemaEntry::kTimer},
+    {"opt.kkt.solves", SchemaEntry::kCounter},
+    {"opt.kkt.iterations", SchemaEntry::kCounter},
+    {"opt.kkt.fallbacks", SchemaEntry::kCounter},
     {"smc.runs", SchemaEntry::kCounter},
     {"smc.samples", SchemaEntry::kCounter},
     {"smc.truncated_paths", SchemaEntry::kCounter},

@@ -5,6 +5,7 @@
 #include "src/checker/check.hpp"
 #include "src/core/model_repair.hpp"
 #include "src/learn/mle.hpp"
+#include "src/opt/kkt.hpp"
 
 namespace tml {
 
@@ -87,14 +88,21 @@ DataRepairResult data_repair(const Dtmc& structure,
     }
     return g;
   };
+  for (double w : effort_weight) {
+    problem.objective_hessian_diagonal.push_back(2.0 * w);
+  }
   problem.constraints.push_back(term.constraint());
   problem.box.lower = lower_box;
   problem.box.upper = upper_box;
 
-  const SolveOutcome outcome = solve(problem, config.solver);
+  // The nominal point is the data as given: every group at its target.
+  const SolveOutcome outcome =
+      solve_repair(problem, target_weight, config.solver);
   result.status = outcome.status;
   result.keep_weights = outcome.x;
   result.best_violation = outcome.max_violation;
+  result.kkt_residual = outcome.kkt_residual;
+  result.minimality_certified = outcome.minimality_certified;
   result.drop_fractions.clear();
   for (double p : outcome.x) result.drop_fractions.push_back(1.0 - p);
   if (!outcome.x.empty()) {

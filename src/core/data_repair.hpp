@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -57,6 +58,10 @@ struct DataRepairResult {
   std::optional<Dtmc> relearned;
   bool recheck_passed = false;
   double best_violation = 0.0;
+  /// As ModelRepairResult: the NLP's KKT residual at the solution
+  /// (infinity from the fallback) and whether minimality is certified.
+  double kkt_residual = std::numeric_limits<double>::infinity();
+  bool minimality_certified = false;
 
   bool feasible() const { return status == SolveStatus::kOptimal; }
 };

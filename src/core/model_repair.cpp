@@ -7,6 +7,7 @@
 #include "src/checker/reachability.hpp"
 #include "src/mdp/bellman.hpp"
 #include "src/mdp/solver.hpp"
+#include "src/opt/kkt.hpp"
 #include "src/parametric/bounded.hpp"
 #include "src/parametric/state_elimination.hpp"
 
@@ -92,6 +93,22 @@ GradientFn make_cost_gradient(const ModelRepairConfig& config,
   throw Error("model_repair: unknown cost");
 }
 
+/// The cost's constant Hessian diagonal; empty for the non-smooth L1 cost,
+/// which the KKT solver does not take.
+std::vector<double> cost_hessian_diagonal(const ModelRepairConfig& config,
+                                          std::size_t dim) {
+  switch (config.cost) {
+    case RepairCost::kL2: return std::vector<double>(dim, 2.0);
+    case RepairCost::kL1: return {};
+    case RepairCost::kWeightedL2: {
+      std::vector<double> h = config.cost_weights;
+      for (double& w : h) w *= 2.0;
+      return h;
+    }
+  }
+  throw Error("model_repair: unknown cost");
+}
+
 }  // namespace
 
 std::string to_string(RepairCost cost) {
@@ -159,9 +176,9 @@ RepairConstraint::RepairConstraint(const StateFormula& property,
       numeric_(std::move(evaluate)),
       upper_(property.comparison() == Comparison::kLess ||
              property.comparison() == Comparison::kLessEqual),
-      // The solver accepts violations up to feasibility_tol; require at
-      // least that much slack so the independent numeric recheck passes at
-      // the boundary.
+      // The minimum sits on the margined bound; ten feasibility tolerances
+      // (relative to the bound) keep the real bound clear for the numeric
+      // recheck and for a fallback point up to feasibility_tol outside.
       margin_(std::max(constraint_margin,
                        10.0 * solver.feasibility_tol *
                            (1.0 + std::abs(property.bound())))) {}
@@ -301,13 +318,19 @@ EnvelopeRepairResult repair_properties(
   for (const RepairConstraint& term : terms) {
     problem.constraints.push_back(term.constraint());
   }
+  problem.objective_hessian_diagonal = cost_hessian_diagonal(config, dim);
   problem.box.lower = built.lower;
   problem.box.upper = built.upper;
 
-  const SolveOutcome outcome = solve(problem, config.solver);
+  // The nominal point: no perturbation, projected into the box.
+  std::vector<double> nominal(dim, 0.0);
+  problem.box.project(nominal);
+  const SolveOutcome outcome = solve_repair(problem, nominal, config.solver);
   repair.status = outcome.status;
   repair.variable_values = outcome.x;
   repair.best_violation = outcome.max_violation;
+  repair.kkt_residual = outcome.kkt_residual;
+  repair.minimality_certified = outcome.minimality_certified;
   if (!outcome.x.empty()) {
     bool all_satisfied = true;
     for (const RepairConstraint& term : terms) {
@@ -405,8 +428,18 @@ PropertySolve solve_property(const Mdp& mdp, const StateFormula& property) {
   return solved;
 }
 
-bool same_policy(const Policy& a, const Policy& b) {
-  return a.choice_index == b.choice_index;
+/// Whether `policy` is still optimal on `mdp`, whose optimum is `optimum`:
+/// the same choices, or choices that achieve the optimum up to rounding. A
+/// minimal repair can make equally good routes tie, and the re-solve then
+/// picks one by rounding noise; that is not a policy change.
+bool still_optimal(const Mdp& mdp, const Policy& policy,
+                   const Policy& optimal, const StateFormula& property,
+                   double optimum) {
+  if (policy.choice_index == optimal.choice_index) return true;
+  const std::optional<double> value =
+      check(mdp.induced_dtmc(policy), property).value;
+  return value.has_value() &&
+         std::abs(*value - optimum) <= 1e-9 * std::max(1.0, std::abs(optimum));
 }
 
 }  // namespace
@@ -435,7 +468,9 @@ MdpModelRepairResult mdp_model_repair(
     // The MDP-level verdict, read off the same solve as the next policy.
     PropertySolve solved = solve_property(repaired, property);
     result.repaired_mdp = std::move(repaired);
-    result.policy_stable = same_policy(policy, solved.policy);
+    result.policy_stable = still_optimal(*result.repaired_mdp, policy,
+                                         solved.policy, property,
+                                         solved.value);
     if (compare(solved.value, property.comparison(), property.bound())) {
       return result;
     }

@@ -7,7 +7,10 @@
 //   1. parametric model checking (src/parametric) turns φ into a rational
 //      function f(v) of the perturbation variables (Prop. 2);
 //   2. the resulting NLP  min g(v)  s.t. f(v) ⋈ b, v ∈ box  is solved by
-//      the optimizer (src/opt) — the paper's PRISM + AMPL pipeline;
+//      solve_repair (src/opt/kkt.hpp) — the paper's PRISM + AMPL pipeline:
+//      an SQP/KKT solve on the symbolic ∂f/∂v that certifies a minimum,
+//      with the multistart solver as fallback (L1 cost, numeric f, no
+//      certified start, infeasible problems);
 //   3. the repaired chain is re-checked with the numeric checker as an
 //      independent certificate.
 //
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -82,6 +86,13 @@ struct ModelRepairResult {
   bool recheck_passed = false;
   /// Smallest constraint violation seen (diagnostic when infeasible).
   double best_violation = 0.0;
+  /// KKT residual of the NLP at the solution (see src/opt/kkt.hpp);
+  /// infinity when the multistart fallback produced the point.
+  double kkt_residual = std::numeric_limits<double>::infinity();
+  /// The solution is a certified KKT point that passes the second-order
+  /// check: a strict local minimum of the repair NLP. False for the
+  /// fallback's points, which are feasible but not certified minimal.
+  bool minimality_certified = false;
 
   bool feasible() const { return status == SolveStatus::kOptimal; }
 };
@@ -146,9 +157,11 @@ class RepairConstraint {
   /// The closed form (zero for a numeric constraint).
   const RationalFunction& function() const { return f_; }
   double evaluate(std::span<const double> x) const;
-  /// Whether `value` meets the property's real bound. The margin exists
-  /// only to absorb solver slop: a penalty-method iterate may sit just
-  /// outside the margined surrogate yet safely inside the bound.
+  /// Whether `value` meets the property's real bound. The NLP solves the
+  /// margined surrogate, so a minimum lands on bound ∓ margin: strictly
+  /// inside the bound, where the independent numeric recheck (its own
+  /// rounding) and the multistart fallback (which accepts violations up
+  /// to feasibility_tol) still clear the real bound.
   bool satisfied_by(double value) const;
   /// The margined constraint. It refers to *this, which must outlive it.
   Constraint constraint() const;
@@ -176,7 +189,9 @@ struct MdpModelRepairResult {
   ModelRepairResult inner;
   std::optional<Mdp> repaired_mdp;
   std::size_t policy_rounds = 0;
-  bool policy_stable = false;  ///< optimal policy unchanged at the solution
+  /// The repair's policy is still optimal at the solution (a tie with an
+  /// equally good policy counts as unchanged).
+  bool policy_stable = false;
 };
 
 MdpModelRepairResult mdp_model_repair(

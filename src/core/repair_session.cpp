@@ -307,8 +307,8 @@ const BatchOutcome& RepairSession::feed(const TrajectoryDataset& batch) {
     repair_config.solver.budget = repair_share;
     repair_config.elimination.budget = &repair_share;
     // NLP warm start: the previous batch's repaired point. Probabilities
-    // drift a little per batch, so the previous optimum is typically
-    // near-feasible and converges in a handful of inner iterations.
+    // drift a little per batch, so the KKT solve started there lands on the
+    // new minimum in a few Newton-type steps.
     if (last_repair_point_.has_value() &&
         last_repair_point_->size() == scheme.num_variables()) {
       repair_config.solver.warm_starts.push_back(*last_repair_point_);

@@ -232,6 +232,15 @@ StateSet avoid_certain(const CompiledModel& model, const StateSet& targets) {
       }));
 }
 
+void record_prob01(const Prob01& sets) {
+  if (stats::enabled()) {  // skip the popcounts entirely when disabled
+    static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");
+    static stats::Gauge& g_one = stats::gauge("checker.prob1.states");
+    g_zero.set(static_cast<double>(count(sets.zero)));
+    g_one.set(static_cast<double>(count(sets.one)));
+  }
+}
+
 }  // namespace
 
 Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
@@ -249,12 +258,25 @@ Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
     sets.zero = avoid_certain(model, targets);
     sets.one = complement(backward_closure(model, sets.zero, &targets));
   }
-  if (stats::enabled()) {  // skip the popcounts entirely when disabled
-    static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");
-    static stats::Gauge& g_one = stats::gauge("checker.prob1.states");
-    g_zero.set(static_cast<double>(count(sets.zero)));
-    g_one.set(static_cast<double>(count(sets.one)));
-  }
+  record_prob01(sets);
+  return sets;
+}
+
+Prob01 dtmc_until_prob01(const CompiledModel& model, const StateSet& stay,
+                         const StateSet& goal) {
+  require_size(model, stay, "dtmc_until_prob01");
+  require_size(model, goal, "dtmc_until_prob01");
+  TML_REQUIRE(model.deterministic(),
+              "dtmc_until_prob01: compiled model is not a DTMC");
+  StateSet escape = set_union(stay, goal);
+  escape.flip();
+  // With one choice per state, avoid_certain is the complement of the plain
+  // backward closure; an absorbed escape state would have no edge but its
+  // self-loop, so it can neither join nor pass the closure on.
+  Prob01 sets;
+  sets.zero = complement(backward_closure(model, goal, &escape));
+  sets.one = complement(backward_closure(model, sets.zero, &goal));
+  record_prob01(sets);
   return sets;
 }
 

@@ -38,6 +38,15 @@ struct Prob01 {
 Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
                     Objective objective);
 
+/// The sets of P[stay U goal] on a one-choice model (DTMC): zero = { s :
+/// P(stay U goal)(s) = 0 }, one = { s : P(stay U goal)(s) = 1 }. They equal
+/// reach_prob01(goal) on the model with every escape state (¬stay ∧ ¬goal)
+/// made absorbing, without building that copy: the backward passes never
+/// cross an escape state, which lands in the zero set. Records the same
+/// gauges as reach_prob01.
+Prob01 dtmc_until_prob01(const CompiledModel& model, const StateSet& stay,
+                         const StateSet& goal);
+
 /// States with a path (under some scheduler) of positive probability to T.
 StateSet reachable_existential(const CompiledModel& model,
                                const StateSet& targets);

@@ -480,15 +480,17 @@ std::vector<double> evaluate_policy_discounted(const CompiledModel& model,
       .values;
 }
 
-SolveResult dtmc_reachability_bracket(const CompiledModel& model,
-                                      const StateSet& targets,
-                                      const SolverOptions& options) {
-  TML_REQUIRE(model.deterministic(),
-              "dtmc_reachability: compiled model is not a DTMC");
-  TML_REQUIRE(targets.size() == model.num_states(),
-              "dtmc_reachability: target set size mismatch");
+namespace {
+
+/// The direct solve behind dtmc_reachability_bracket and dtmc_until_bracket:
+/// the states outside `zero` and `one` are solved, every other state is
+/// pinned at 0 or 1.
+SolveResult dtmc_probability_bracket(const CompiledModel& model,
+                                     const Prob01& sets,
+                                     const SolverOptions& options) {
+  const StateSet& zero = sets.zero;
+  const StateSet& one = sets.one;
   const std::size_t n = model.num_states();
-  const auto [zero, one] = reach_prob01(model, targets, Objective::kMinimize);
   std::vector<double> values(n, 0.0);
   std::vector<StateId> unknowns;
   for (StateId s = 0; s < n; ++s) {
@@ -505,6 +507,26 @@ SolveResult dtmc_reachability_bracket(const CompiledModel& model,
     result.hi[s] = std::min(result.hi[s], 1.0);
   }
   return result;
+}
+
+}  // namespace
+
+SolveResult dtmc_reachability_bracket(const CompiledModel& model,
+                                      const StateSet& targets,
+                                      const SolverOptions& options) {
+  TML_REQUIRE(model.deterministic(),
+              "dtmc_reachability: compiled model is not a DTMC");
+  TML_REQUIRE(targets.size() == model.num_states(),
+              "dtmc_reachability: target set size mismatch");
+  return dtmc_probability_bracket(
+      model, reach_prob01(model, targets, Objective::kMinimize), options);
+}
+
+SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
+                               const StateSet& goal,
+                               const SolverOptions& options) {
+  return dtmc_probability_bracket(model, dtmc_until_prob01(model, stay, goal),
+                                  options);
 }
 
 SolveResult dtmc_total_reward_bracket(const CompiledModel& model,

@@ -198,6 +198,15 @@ SolveResult dtmc_reachability_bracket(const CompiledModel& model,
                                       const StateSet& targets,
                                       const SolverOptions& options = {});
 
+/// P[ stay U goal ] on a DTMC with the bracket and budget of
+/// dtmc_reachability_bracket. The escape states (¬stay ∧ ¬goal) are pinned
+/// to 0 by the graph pass (dtmc_until_prob01) and read as fixed successors,
+/// so the model is solved in place and its cached predecessor lists are
+/// reused: no absorbing copy is built.
+SolveResult dtmc_until_bracket(const CompiledModel& model, const StateSet& stay,
+                               const StateSet& goal,
+                               const SolverOptions& options = {});
+
 /// Expected total reward (state plus choice reward per step) of a DTMC
 /// until reaching `targets` (value 0 there), by one sparse direct solve
 /// with the certified bracket and budget of dtmc_reachability_bracket.

@@ -58,6 +58,10 @@ struct Problem {
   std::size_t dimension = 0;
   ScalarFn objective;
   GradientFn objective_gradient;  ///< optional
+  /// Diagonal of the objective's constant Hessian when the objective is a
+  /// separable quadratic (the L2 and weighted-L2 repair costs, the data
+  /// repair effort); empty otherwise. The KKT solver (kkt.hpp) needs it.
+  std::vector<double> objective_hessian_diagonal;
   std::vector<Constraint> constraints;
   Box box;
 
@@ -84,6 +88,12 @@ struct SolveOutcome {
   /// before the stop (best feasible, or smallest violation seen so far).
   BudgetStatus budget_status = BudgetStatus::kOk;
   BudgetStop budget_stop = BudgetStop::kNone;
+  /// KKT residual at `x` (defined in kkt.hpp); infinity when `x` did not
+  /// come from the KKT solver.
+  double kkt_residual = std::numeric_limits<double>::infinity();
+  /// `x` is a KKT point within kKktTolerance that passes the second-order
+  /// sufficient condition: a strict local minimum. Never set by solve().
+  bool minimality_certified = false;
 
   bool feasible(double tol = 1e-6) const { return max_violation <= tol; }
 };

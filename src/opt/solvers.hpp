@@ -1,4 +1,11 @@
-// Nonlinear solvers for the repair problems.
+// Multistart nonlinear solvers: the fallback of the repair NLP.
+//
+// The repairs solve their NLP through solve_repair (kkt.hpp), an SQP/KKT
+// solve that certifies its minimum; this multistart runs when it does not
+// apply or certifies nothing (non-smooth L1 cost, numerically evaluated
+// constraints, no certified start, infeasible problems), and it is the
+// solver for the benches' algorithm ablation. Its points are feasible but
+// not certified minimal: every local solve stops on its iteration cap.
 //
 // Three local algorithms plus a multi-start driver:
 //
@@ -53,13 +60,13 @@ struct SolveOptions {
   /// solve returns best-feasible-so-far (or the smallest violation found)
   /// flagged `SolveOutcome::budget_status = kBudgetExhausted`.
   Budget budget = default_budget();
-  /// Warm-start points tried BEFORE the box centre and the random interior
-  /// points (each projected into the box; dimension-mismatched entries are
-  /// skipped). Streaming repair feeds the previous batch's repaired point
-  /// here: near-feasible seeds typically converge in a handful of inner
-  /// iterations. Warm points do not change num_starts — they are extra
-  /// starts prepended deterministically, and the winner fold stays ordered,
-  /// so results are reproducible for any thread count.
+  /// Warm-start points tried first (each projected into the box;
+  /// dimension-mismatched entries are skipped): by solve_repair's KKT solve
+  /// before the nominal point, and by the multistart before the box centre
+  /// and the random interior points. Streaming repair feeds the previous
+  /// batch's repaired point here. Warm points do not change num_starts —
+  /// they are extra starts prepended deterministically, and the winner fold
+  /// stays ordered, so results are reproducible for any thread count.
   std::vector<std::vector<double>> warm_starts;
 };
 

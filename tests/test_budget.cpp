@@ -20,6 +20,7 @@
 #include "src/logic/parser.hpp"
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/solver.hpp"
+#include "src/opt/kkt.hpp"
 #include "src/opt/solvers.hpp"
 #include "src/parametric/parametric_dtmc.hpp"
 #include "src/parametric/state_elimination.hpp"
@@ -445,6 +446,67 @@ TEST_F(BudgetTest, NlpUnbudgetedStaysUnflagged) {
   EXPECT_EQ(out.budget_status, BudgetStatus::kOk);
   EXPECT_EQ(out.budget_stop, BudgetStop::kNone);
   EXPECT_EQ(out.status, SolveStatus::kOptimal);
+}
+
+/// quadratic_problem plus the constraint x0 + x1 >= 0.5 in the form the KKT
+/// solver takes (Hessian diagonal, constraint gradient).
+Problem kkt_problem() {
+  Problem p = quadratic_problem();
+  p.objective_gradient = [](std::span<const double> x) {
+    return std::vector<double>{2.0 * (x[0] - 0.3), 2.0 * (x[1] + 0.2)};
+  };
+  p.objective_hessian_diagonal = {2.0, 2.0};
+  p.constraints.push_back(Constraint{
+      "sum", [](std::span<const double> x) { return 0.5 - x[0] - x[1]; },
+      [](std::span<const double>) { return std::vector<double>{-1.0, -1.0}; }});
+  return p;
+}
+
+TEST_F(BudgetTest, KktFlagsExhaustedAndReturnsBestFeasible) {
+  // One SQP iteration is allowed: the step from the origin lands on the
+  // (linear) constraint, and the poll before the second iteration stops
+  // the solve there, uncertified, without the multistart fallback.
+  SolveOptions options;
+  options.budget = iteration_cap(1);
+  const SolveOutcome out =
+      solve_repair(kkt_problem(), std::vector<double>{0.0, 0.0}, options);
+  EXPECT_EQ(out.budget_status, BudgetStatus::kBudgetExhausted);
+  EXPECT_EQ(out.budget_stop, BudgetStop::kIterationCap);
+  EXPECT_EQ(out.iterations, 1u);
+  EXPECT_FALSE(out.minimality_certified);
+  EXPECT_EQ(out.status, SolveStatus::kOptimal);  // the iterate is feasible
+  ASSERT_EQ(out.x.size(), 2u);
+  EXPECT_NEAR(out.x[0] + out.x[1], 0.5, 1e-12);
+}
+
+TEST_F(BudgetTest, KktHonoursCancellationAndDeadline) {
+  for (const bool cancelled : {true, false}) {
+    SolveOptions options;
+    if (cancelled) {
+      options.budget.cancel.cancel();
+    } else {
+      options.budget = expired_deadline();
+    }
+    const SolveOutcome out =
+        solve_repair(kkt_problem(), std::vector<double>{0.0, 0.0}, options);
+    EXPECT_EQ(out.budget_status, BudgetStatus::kBudgetExhausted);
+    EXPECT_EQ(out.budget_stop, cancelled ? BudgetStop::kCancelled
+                                         : BudgetStop::kDeadline);
+    EXPECT_EQ(out.iterations, 0u);
+    // Nothing feasible was visited: the start point, flagged infeasible.
+    EXPECT_EQ(out.status, SolveStatus::kInfeasible);
+    EXPECT_EQ(out.x, (std::vector<double>{0.0, 0.0}));
+  }
+}
+
+TEST_F(BudgetTest, KktUnbudgetedCertifies) {
+  const SolveOutcome out =
+      solve_repair(kkt_problem(), std::vector<double>{0.0, 0.0}, {});
+  EXPECT_EQ(out.budget_status, BudgetStatus::kOk);
+  EXPECT_TRUE(out.minimality_certified);
+  // (0.3, -0.2) projected onto x0 + x1 = 0.5.
+  EXPECT_NEAR(out.x[0], 0.5, 1e-12);
+  EXPECT_NEAR(out.x[1], 0.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------------

@@ -576,6 +576,39 @@ TEST(DeltaSession, CertifyOnlySessionReportsViolationsWithoutRepairing) {
   EXPECT_FALSE(session.report().final_satisfied);
 }
 
+TEST(DeltaSession, UntilSessionBuildsPredecessorsOnce) {
+  // The until certification pins escape states inside the solve, so every
+  // batch reuses the patched model's predecessor lists, as F does.
+  Dtmc structure(4);
+  structure.set_transitions(0, {Transition{1, 0.5}, Transition{2, 0.5}});
+  structure.set_transitions(1, {Transition{3, 1.0}});
+  structure.set_transitions(2, {Transition{3, 1.0}});
+  structure.set_transitions(3, {Transition{3, 1.0}});
+  structure.add_label(1, "bad");
+  structure.add_label(3, "goal");
+  const bool was_enabled = stats::enabled();
+  stats::set_enabled(true);
+  const stats::Counter& builds = stats::counter("compile.pred_builds");
+  const RepairSessionConfig config;  // certify-only
+  for (const char* property :
+       {"P>=0.9 [ !\"bad\" U \"goal\" ]", "P>=0.9 [ F \"goal\" ]"}) {
+    SCOPED_TRACE(property);
+    const std::uint64_t start = builds.value();
+    RepairSession session(structure, parse_pctl(property), config);
+    for (int b = 0; b < 10; ++b) {
+      TrajectoryDataset batch;
+      batch.add(hop(0, 1), 1.0 + b);
+      batch.add(hop(0, 2), 5.0);
+      batch.add(hop(1, 3), 5.0);
+      batch.add(hop(2, 3), 5.0);
+      (void)session.feed(batch);
+    }
+    EXPECT_EQ(session.report().patch_hits, 9u);
+    EXPECT_EQ(builds.value() - start, 1u);
+  }
+  stats::set_enabled(was_enabled);
+}
+
 TEST(DeltaSession, CancelledBudgetCertifiesTheWholeUnitInterval) {
   // The factorization stops on its first budget tick: the batch records the
   // stop and the sound bracket [0, 1], which straddles the bound.

@@ -133,6 +133,35 @@ TEST(Differential, DtmcEnginesMatchExactOracle) {
   }
 }
 
+TEST(Differential, DtmcUntilPinsEscapeStatesBitwise) {
+  // dtmc_until_bracket pins the escape states (¬stay ∧ ¬goal) in place; the
+  // answer must be bit for bit the one the absorbing copy used to give.
+  Rng rng(base_seed() ^ 0x07u);
+  for (int rep = 0; rep < 64; ++rep) {
+    oracle::RandomModelConfig cfg;
+    cfg.num_states = 2 + rng.index(39);
+    cfg.max_choices = 1;
+    const std::uint64_t seed = rng.seed() + static_cast<std::uint64_t>(rep);
+    Rng model_rng(seed);
+    const oracle::RandomModel rm = oracle::random_model(model_rng, cfg);
+    const CompiledModel chain =
+        compile(rm.mdp.induced_dtmc(rm.mdp.first_choice_policy()));
+    StateSet stay(cfg.num_states);
+    for (StateId s = 0; s < cfg.num_states; ++s) {
+      if (model_rng.uniform() < 0.8) stay.set(s);
+    }
+    StateSet escape = set_union(stay, rm.targets);
+    escape.flip();
+    const SolveResult pinned = dtmc_until_bracket(chain, stay, rm.targets);
+    const SolveResult absorbed = dtmc_reachability_bracket(
+        escape.none() ? chain : chain.make_absorbing(escape), rm.targets);
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(pinned.values, absorbed.values);
+    EXPECT_EQ(pinned.lo, absorbed.lo);
+    EXPECT_EQ(pinned.hi, absorbed.hi);
+  }
+}
+
 TEST(Differential, DtmcTotalRewardMatchesExactOracle) {
   // Random DTMCs (n ≤ 40) with dyadic state rewards k/8: the float chain
   // and the oracle's rational twin are equal, so the direct solve must

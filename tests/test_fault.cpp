@@ -46,6 +46,7 @@
 #include "src/mdp/compiled.hpp"
 #include "src/mdp/prism_parser.hpp"
 #include "src/mdp/solver.hpp"
+#include "src/opt/kkt.hpp"
 #include "src/opt/solvers.hpp"
 #include "src/parametric/parametric_dtmc.hpp"
 #include "src/parametric/state_elimination.hpp"
@@ -215,6 +216,52 @@ TEST_F(FaultTest, NlpSurvivesLatePoisoning) {
   ASSERT_FALSE(out.x.empty());
   EXPECT_TRUE(std::isfinite(out.x[0]));
   EXPECT_TRUE(std::isfinite(out.objective));
+}
+
+/// min (x − 0.25)² s.t. x >= 0.5 on [-1, 1], in the KKT solver's form.
+Problem kkt_problem() {
+  Problem p;
+  p.dimension = 1;
+  p.objective = [](std::span<const double> x) {
+    return (x[0] - 0.25) * (x[0] - 0.25);
+  };
+  p.objective_gradient = [](std::span<const double> x) {
+    return std::vector<double>{2.0 * (x[0] - 0.25)};
+  };
+  p.objective_hessian_diagonal = {2.0};
+  p.constraints.push_back(Constraint{
+      "floor", [](std::span<const double> x) { return 0.5 - x[0]; },
+      [](std::span<const double>) { return std::vector<double>{-1.0}; }});
+  p.box = Box::uniform(1, -1.0, 1.0);
+  return p;
+}
+
+TEST_F(FaultTest, KktDiscardsPoisonedEvaluations) {
+  // Every objective evaluation is NaN: the KKT start ends uncertified and
+  // the multistart fallback, equally poisoned, reports no optimum.
+  fault::arm("opt.eval", "nan");
+  stats::set_enabled(true);
+  stats::counter("opt.kkt.fallbacks").clear();
+  const SolveOutcome out =
+      solve_repair(kkt_problem(), std::vector<double>{0.0}, {});
+  EXPECT_NE(out.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(out.minimality_certified);
+  EXPECT_FALSE(std::isnan(out.objective));
+  EXPECT_EQ(stats::counter("opt.kkt.fallbacks").value(), 1u);
+  stats::set_enabled(false);
+}
+
+TEST_F(FaultTest, KktSurvivesLatePoisoning) {
+  // The start point's evaluation is clean, every later one NaN: each trial
+  // step is rejected, the start ends uncertified, and what it hands back
+  // (the start point) stays finite.
+  fault::arm("opt.eval", "nan@1");
+  const SolveOutcome kkt = solve_kkt(kkt_problem(), {0.0}, {});
+  EXPECT_FALSE(kkt.minimality_certified);
+  ASSERT_FALSE(kkt.x.empty());
+  EXPECT_TRUE(std::isfinite(kkt.x[0]));
+  EXPECT_TRUE(std::isfinite(kkt.objective));
+  EXPECT_GE(fault::hits("opt.eval"), 1u);
 }
 
 TEST_F(FaultTest, SolverPivotForcedSingularIsTypedNumericError) {
@@ -433,6 +480,19 @@ TEST_F(FaultTest, EveryEngineDegradesOrThrowsTyped) {
       const SolveOutcome out = solve(p, SolveOptions{});
       if (out.status == SolveStatus::kOptimal) {
         EXPECT_TRUE(std::isfinite(out.objective));
+      }
+    } catch (const Error&) {
+    }
+
+    // The repair NLP's KKT path (and its fallback).
+    try {
+      const SolveOutcome out =
+          solve_repair(kkt_problem(), std::vector<double>{0.0}, {});
+      if (out.status == SolveStatus::kOptimal) {
+        EXPECT_TRUE(std::isfinite(out.objective));
+      }
+      if (out.minimality_certified) {
+        EXPECT_NEAR(out.x[0], 0.5, 1e-9);
       }
     } catch (const Error&) {
     }
